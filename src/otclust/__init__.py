@@ -20,7 +20,7 @@ from .datagen import (
     ten_cluster_config,
 )
 from .facility import FacilityResult, build_facility_lp, solve_facility_relaxation
-from .linf import LinfResult, golden_section, inner_cost, solve_linf
+from .linf import LinfResult, inner_cost, solve_linf
 from .lp import LinearProgram, LpConfig, LpSolution, solve_lp, to_standard_form
 from .pointio import read_points, write_points
 from .son import (
@@ -62,7 +62,6 @@ __all__ = [
     "build_facility_lp",
     "solve_facility_relaxation",
     "LinfResult",
-    "golden_section",
     "inner_cost",
     "solve_linf",
     "ClusteringResult",

@@ -99,7 +99,7 @@ def _cmd_cluster(args) -> int:
     elif args.method == "lp":
         res = solve_facility_relaxation(cost, p0, args.penalty)
     else:
-        res = solve_linf(cost, p0, args.penalty, search_tol=args.search_tol)
+        res = solve_linf(cost, p0, args.penalty)
     clusters = extract_clusters(res.plan, tie_tol=args.tie_tol)
     document = {
         "method": args.method,
@@ -157,7 +157,6 @@ def _cmd_sweep(args) -> int:
         max_iterations=args.max_iterations,
         eps_abs=args.eps_abs,
         eps_rel=args.eps_rel,
-        search_tol=args.search_tol,
         jobs=args.jobs,
     )
     report = run_sweep(spec)
@@ -209,7 +208,6 @@ def _add_solver_flags(parser, with_penalty):
     parser.add_argument("--max-iterations", type=int, default=None)
     parser.add_argument("--eps-abs", type=float, default=None)
     parser.add_argument("--eps-rel", type=float, default=None)
-    parser.add_argument("--search-tol", type=float, default=1e-5)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,10 +41,6 @@ from .lp import (
     to_standard_form,
 )
 
-# Dense coupling blocks grow as N^2 rows; past this size the pivot cost of
-# the explicit program stops being worth supporting.
-MAX_SITES = 128
-
 # Instances up to this size solve the explicit program outright.
 DIRECT_SIZE = 12
 
@@ -82,8 +78,6 @@ def build_facility_lp(
         raise ValueError("marginal size does not match the cost matrix")
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
-    if n > MAX_SITES:
-        raise ValueError(f"instance has {n} sites; the limit is {MAX_SITES}")
 
     objective = np.concatenate([cost.entries.reshape(-1), np.full(n, penalty)])
     equalities = [
@@ -302,8 +296,6 @@ def solve_facility_relaxation(
         raise ValueError("marginal size does not match the cost matrix")
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
-    if n > MAX_SITES:
-        raise ValueError(f"instance has {n} sites; the limit is {MAX_SITES}")
 
     if n <= DIRECT_SIZE:
         return _solve_direct(cost, p0, penalty, config)

@@ -1,25 +1,26 @@
-"""Reciprocal-mass relaxation solved by per-column decomposition.
+"""Reciprocal-mass relaxation solved in closed form per column.
 
 The penalty here is the reciprocal of the largest column mass of the plan:
 
     min  sum_jk cost_jk plan_jk + penalty / max_i (column mass i)
 
-Fixing which column carries the maximum and how much mass t it holds leaves
-a transport program whose value g_i(t) is convex piecewise-linear in t, so
-each column yields a one-dimensional convex problem g_i(t) + penalty / t,
-minimized by golden-section search; the relaxation value is the best over
+Fixing which column i carries the maximum and how much mass t it holds
+leaves a transport program whose value g_i(t) has a closed form. Mass headed
+anywhere but column i takes the cheapest other destination of its row, so
+column i is best filled from the rows with the smallest "pull", the extra
+cost of sending there instead. g_i is therefore convex piecewise-linear:
+its slopes are the sorted pulls and its breakpoints the cumulative weights
+in that order. On each segment g_i(t) + penalty / t is minimized at an end
+or at sqrt(penalty / slope) clipped into the segment, so every column's
+minimum over t in (0, 1] is exact; the relaxation value is the best over
 columns, lowest index on ties.
 
-The inner program is solved by the simplex method. Mass headed anywhere but
-column i always takes the cheapest remaining destination of its row, so a
-sorted greedy fill of column i is an optimal basic solution; it is handed to
-the solver as the starting basis, which then certifies optimality (or, if
-the construction were ever off, pivots to the true optimum).
+One simplex solve of the winning column's program, started from the greedy
+fill as its basis, yields the witness plan and certifies the closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ from .core import (
 )
 from .lp import LinearProgram, LpConfig, solve_lp
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BOUNDARY_SLACK = 1e-12
+_CERTIFY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,71 +51,66 @@ class LinfResult:
     per_index_values: np.ndarray
 
 
-def golden_section(f, lo: float, hi: float, tol: float):
-    """Minimize a unimodal function on [lo, hi] to within tol in argument.
+def _pulls(costs: np.ndarray):
+    """alt[j, i] is row j's cheapest column other than i (lowest index on
+    ties) and pull[j, i] = costs[j, i] - costs[j, alt[j, i]]. Needs n >= 2."""
+    n = costs.shape[0]
+    rows = np.arange(n)
+    order = np.argsort(costs, axis=1, kind="stable")
+    first, second = order[:, 0], order[:, 1]
+    alt = np.repeat(first[:, None], n, axis=1)
+    alt[rows, first] = second
+    return alt, costs - np.take_along_axis(costs, alt, axis=1)
 
-    Returns (argmin estimate, value there). Each step shrinks the bracket by
-    the golden ratio and reuses the surviving interior evaluation.
+
+def _column_minima(costs: np.ndarray, weights: np.ndarray, penalty: float):
+    """Exact min over t in (0, 1] of g_i(t) + penalty / t for every column i.
+
+    Returns (minimum values, minimizing masses), one entry per column.
     """
-    if not (lo < hi):
-        raise ValueError("need lo < hi")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-
-    def checked(t):
-        value = float(f(t))
-        if not math.isfinite(value):
-            raise RuntimeError(f"objective returned a nonfinite value at t={t}")
-        return value
-
-    a, b = float(lo), float(hi)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = checked(x1), checked(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = checked(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = checked(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+    n = weights.size
+    alt, pull = _pulls(costs)
+    order = np.argsort(pull, axis=0, kind="stable")
+    slopes = np.take_along_axis(pull, order, axis=0)
+    mass = weights[order]
+    ends = np.cumsum(mass, axis=0)
+    ends[-1] = 1.0  # the weights sum to one
+    starts = np.vstack([np.zeros(n), ends[:-1]])
+    g_starts = weights @ np.take_along_axis(costs, alt, axis=1) + np.vstack(
+        [np.zeros(n), np.cumsum(slopes * mass, axis=0)[:-1]]
+    )
+    stationary = ends.copy()
+    rising = slopes > 0
+    stationary[rising] = np.clip(
+        np.sqrt(penalty / slopes[rising]), starts[rising], ends[rising]
+    )
+    t = np.stack([ends, stationary])
+    reciprocal = np.full(t.shape, np.inf)
+    np.divide(penalty, t, out=reciprocal, where=t > 0)
+    values = (g_starts + slopes * (t - starts) + reciprocal).reshape(2 * n, n)
+    best = np.argmin(values, axis=0)
+    columns = np.arange(n)
+    return values[best, columns], t.reshape(2 * n, n)[best, columns]
 
 
 class _ColumnProgram:
-    """Transport program with row sums p0 and a pinned mass on one column.
+    """Transport program with row sums p0 and mass t pinned on one column.
 
-    The constraint matrix never changes with the pinned mass t, so the
-    program is built once and re-solved with a swapped right-hand side.
+    The greedy fill of the column in ascending pull order is an optimal
+    basic solution; it is handed to the simplex as the starting basis, which
+    then certifies optimality (or, if the construction were ever off, pivots
+    to the true optimum).
     """
 
     def __init__(self, cost: CostMatrix, p0: ProbabilityVector, index: int):
-        n = cost.shape[0]
-        self.n = n
+        self.n = cost.shape[0]
         self.index = index
         self.costs = cost.entries
         self.weights = p0.weights
-        rows = [
-            tuple((j * n + k, 1.0) for k in range(n)) for j in range(n)
-        ]
-        rows.append(tuple((j * n + index, 1.0) for j in range(n)))
-        self.rhs_template = np.concatenate([p0.weights, [0.0]])
-        self.base = LinearProgram(
-            objective=cost.entries.reshape(-1).astype(float),
-            rows=tuple(rows),
-            rhs=self.rhs_template,
-            variable_count=n * n,
-        )
-        self.base.compiled()  # prime the cache shared by the rhs clones
-        if n > 1:
-            masked = self.costs.copy()
-            masked[:, index] = np.inf
-            self.alt_cols = np.argmin(masked, axis=1)
-            self.alt_costs = masked[np.arange(n), self.alt_cols]
-            pull = self.costs[:, index] - self.alt_costs
-            self.fill_order = np.argsort(pull, kind="stable")
+        if self.n > 1:
+            alt, pull = _pulls(self.costs)
+            self.alt_cols = alt[:, index]
+            self.fill_order = np.argsort(pull[:, index], kind="stable")
 
     def _starting_basis(self, t: float) -> np.ndarray:
         """Basic columns of the greedy fill: one carrier per row plus the
@@ -148,11 +144,17 @@ class _ColumnProgram:
         basis[n] = extra
         return basis
 
-    def solve(self, t: float, config: LpConfig | None):
-        rhs = self.rhs_template.copy()
-        rhs[-1] = t
-        lp = self.base.with_rhs(rhs)
-        initial = self._starting_basis(t) if self.n > 1 else None
+    def solve(self, t: float, config: LpConfig | None = None):
+        n = self.n
+        rows = [tuple((j * n + k, 1.0) for k in range(n)) for j in range(n)]
+        rows.append(tuple((j * n + self.index, 1.0) for j in range(n)))
+        lp = LinearProgram(
+            objective=self.costs.reshape(-1).astype(float),
+            rows=tuple(rows),
+            rhs=np.concatenate([self.weights, [t]]),
+            variable_count=n * n,
+        )
+        initial = self._starting_basis(t) if n > 1 else None
         solution = solve_lp(lp, config, initial_basis=initial)
         if solution.status != STATUS_OPTIMAL:
             raise RuntimeError(
@@ -168,7 +170,8 @@ def inner_cost(
     t: float,
     config: LpConfig | None = None,
 ) -> float:
-    """Cheapest transport with row sums p0 and exactly mass t on one column.
+    """Cheapest transport with row sums p0 and exactly mass t on one column,
+    solved as an LP.
 
     Convex piecewise-linear in t on [0, 1].
     """
@@ -189,15 +192,14 @@ def solve_linf(
     cost: CostMatrix,
     p0: ProbabilityVector,
     penalty: float,
-    search_tol: float = 1e-5,
     config: LpConfig | None = None,
 ) -> LinfResult:
     """Minimize transport cost plus penalty over the largest column mass.
 
-    One convex search per column; the lowest index wins ties. The lower
-    search bound keeps the reciprocal term finite and provably contains the
-    minimizer for penalties that are not vanishingly small next to the
-    costs.
+    One closed-form minimization per column; the lowest index wins ties.
+    The winning column's program is then solved once by the simplex method
+    for the witness plan, and a RuntimeError is raised if its value does not
+    confirm the closed form.
     """
     n, m = cost.shape
     if n != m:
@@ -206,8 +208,6 @@ def solve_linf(
         raise ValueError("marginal size does not match the cost matrix")
     if penalty <= 0:
         raise ValueError("penalty must be positive")
-    if search_tol <= 0:
-        raise ValueError("search tolerance must be positive")
 
     if n == 1:
         plan = TransportPlan(p0.weights.reshape(1, 1).copy(), p0)
@@ -221,31 +221,19 @@ def solve_linf(
             per_index_values=np.array([value]),
         )
 
-    t_min = max(1e-6, float(p0.weights.max()) / 10.0)
-    per_index = np.empty(n)
-    best_masses = np.empty(n)
-    evaluations = 0
-    for index in range(n):
-        program = _ColumnProgram(cost, p0, index)
-
-        def objective(t, program=program):
-            nonlocal evaluations
-            evaluations += 1
-            return program.solve(t, config).objective_value + penalty / t
-
-        t_star, value = golden_section(objective, t_min, 1.0, search_tol)
-        per_index[index] = value
-        best_masses[index] = t_star
-
+    per_index, masses = _column_minima(cost.entries, p0.weights, penalty)
     best_index = int(np.argmin(per_index))
-    best_mass = float(best_masses[best_index])
+    best_mass = float(masses[best_index])
+    objective = float(per_index[best_index])
     witness = _ColumnProgram(cost, p0, best_index).solve(best_mass, config)
+    certified = witness.objective_value + penalty / best_mass
+    if abs(certified - objective) > _CERTIFY_RTOL * abs(objective):
+        raise RuntimeError(
+            f"column {best_index} at t={best_mass}: simplex value {certified!r} "
+            f"does not confirm the closed form {objective!r}"
+        )
     entries = np.clip(witness.primal[: n * n].reshape(n, n), 0.0, None)
-    report = SolveReport(
-        objective=float(per_index[best_index]),
-        iterations=evaluations,
-        status=STATUS_OPTIMAL,
-    )
+    report = SolveReport(objective=objective, iterations=n, status=STATUS_OPTIMAL)
     return LinfResult(
         plan=TransportPlan(entries, p0, tolerance=1e-8),
         best_index=best_index,

@@ -75,39 +75,6 @@ class LinearProgram:
     def constraint_count(self) -> int:
         return len(self.rows)
 
-    def compiled(self):
-        """Column-compressed form of the constraint matrix, cached on the
-        instance; clones made by with_rhs share it."""
-        cached = self.__dict__.get("_compiled_columns")
-        if cached is None:
-            cached = _SparseColumns.from_program(self)
-            object.__setattr__(self, "_compiled_columns", cached)
-        return cached
-
-    def with_rhs(self, rhs) -> "LinearProgram":
-        """Same constraint matrix and objective with a new right-hand side.
-
-        Skips re-validating the rows, so swapping the rhs inside a parametric
-        solve costs O(rows) instead of a full rebuild. The compiled column
-        cache carries over since the matrix is unchanged.
-        """
-        b = np.asarray(rhs, dtype=float)
-        if b.ndim != 1 or b.size != len(self.rows):
-            raise ValueError("rhs length does not match row count")
-        if (b < 0).any():
-            raise ValueError("standard form requires rhs >= 0")
-        if not np.isfinite(b).all():
-            raise ValueError("nonfinite problem data")
-        clone = object.__new__(LinearProgram)
-        object.__setattr__(clone, "objective", self.objective)
-        object.__setattr__(clone, "rows", self.rows)
-        object.__setattr__(clone, "rhs", b)
-        object.__setattr__(clone, "variable_count", self.variable_count)
-        cached = self.__dict__.get("_compiled_columns")
-        if cached is not None:
-            object.__setattr__(clone, "_compiled_columns", cached)
-        return clone
-
 
 @dataclass(frozen=True)
 class LpConfig:
@@ -432,7 +399,7 @@ def solve_lp(
     optimal basis therefore costs zero pivots.
     """
     cfg = config or LpConfig()
-    mat = lp.compiled()
+    mat = _SparseColumns.from_program(lp)
     m, n = mat.m, mat.n
     b = lp.rhs.copy()
     budget = cfg.max_pivots if cfg.max_pivots is not None else 50 * (n + m)

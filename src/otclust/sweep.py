@@ -49,7 +49,6 @@ class ExperimentSpec:
     max_iterations: int | None = None
     eps_abs: float | None = None
     eps_rel: float | None = None
-    search_tol: float | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -106,10 +105,7 @@ def _solve_one(spec, cost, p0, penalty):
         res = solve_facility_relaxation(cost, p0, penalty)
         return res.plan, res.report
     if spec.method == "linf":
-        res = solve_linf(
-            cost, p0, penalty,
-            search_tol=spec.search_tol if spec.search_tol is not None else 1e-5,
-        )
+        res = solve_linf(cost, p0, penalty)
         return res.plan, res.report
     # exact transport of the cloud onto itself; the penalty plays no role
     res = solve_transport(cost, p0, p0)

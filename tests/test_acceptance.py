@@ -22,7 +22,6 @@ from otclust import (
     envelope_value,
     extract_clusters,
     four_cluster_config,
-    golden_section,
     inner_cost,
     project_scaled_simplex,
     run_sweep,
@@ -314,27 +313,41 @@ def test_criterion_9_inverse_linf_machinery():
             )
             assert middle <= ends / 2 + 1e-8, f"trial {trial}"
 
-        location, _ = golden_section(lambda t: t + 0.25 / t, 1e-3, 1.0, 1e-6)
-        assert abs(location - 0.5) <= 1e-6
+        # two even points at pair cost c: the pinned cost is (t - 1/2) c
+        # for t >= 1/2, so (t - 1/2) c + penalty / t is least at
+        # t* = sqrt(penalty / c) whenever that lies in (1/2, 1)
+        two = build_cost_matrix(PointCloud(np.array([[0.0, 0.0], [0.9, 0.7]])))
+        c = float(two.entries[0, 1])
+        for share in (0.3, 0.5, 0.8):
+            penalty = share * c
+            location = float(np.sqrt(penalty / c))
+            result = solve_linf(two, ProbabilityVector.uniform(2), penalty)
+            assert abs(result.best_mass - location) <= 1e-9
+            expected = (location - 0.5) * c + penalty / location
+            assert abs(result.report.objective - expected) <= 1e-9
 
         # moderate cost scale keeps the dense grid's kink error well under
-        # the tolerance; the comparison still detects any search failure
+        # the agreement tolerance; the grid can never beat an exact minimum,
+        # and the LP oracle must confirm the reported optimum
         penalty = 0.1
+        grid = np.linspace(0.02, 1.0, 200)
         for seed in range(5):
             instance_rng = np.random.default_rng(seed)
             cost = build_cost_matrix(random_cloud(instance_rng, 5, scale=0.3))
             p0 = ProbabilityVector.uniform(5)
             result = solve_linf(cost, p0, penalty)
-            t_min = max(1e-6, float(p0.weights.max()) / 10.0)
-            grid = np.linspace(t_min, 1.0, 200)
             for i in range(5):
                 reference = min(
                     inner_cost(cost, p0, i, float(t)) + penalty / float(t)
                     for t in grid
                 )
-                assert (
-                    abs(result.per_index_values[i] - reference) <= 1e-3
-                ), f"seed {seed} index {i}"
+                value = result.per_index_values[i]
+                assert value <= reference + 1e-9, f"seed {seed} index {i}"
+                assert abs(value - reference) <= 1e-3, f"seed {seed} index {i}"
+            confirmed = inner_cost(
+                cost, p0, result.best_index, result.best_mass
+            ) + penalty / result.best_mass
+            assert abs(result.report.objective - confirmed) <= 1e-9, f"seed {seed}"
 
 
 def test_criterion_10_byte_identical_artifacts(tmp_path, monkeypatch):

@@ -3,10 +3,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from otclust import CostMatrix, PointCloud, ProbabilityVector, build_cost_matrix
+from otclust import (
+    PointCloud,
+    ProbabilityVector,
+    build_cost_matrix,
+    extract_clusters,
+    four_cluster_config,
+    sample_gaussian_mixture,
+)
 from otclust.facility import (
     DIRECT_SIZE,
-    MAX_SITES,
     FacilityResult,
     build_facility_lp,
     solve_facility_relaxation,
@@ -54,12 +60,6 @@ class TestBuildFacilityLp:
         cost, p0 = random_instance(1, 3)
         form = build_facility_lp(cost, p0, 1.0, couplings=[(0, 0), (1, 2)])
         assert len(form.lp.rows) == 3 + 2 + 3
-
-    def test_rejects_oversized(self):
-        n = MAX_SITES + 1
-        cost = CostMatrix(np.zeros((n, n)))
-        with pytest.raises(ValueError):
-            build_facility_lp(cost, ProbabilityVector.uniform(n), 1.0)
 
     def test_rejects_negative_penalty(self):
         cost, p0 = random_instance(2, 3)
@@ -174,11 +174,15 @@ class TestSolveFacility:
             solve_facility_relaxation(cost, ProbabilityVector.uniform(5), 1.0)
         with pytest.raises(ValueError):
             solve_facility_relaxation(cost, p0, -2.0)
-        big = CostMatrix(np.zeros((MAX_SITES + 1, MAX_SITES + 1)))
-        with pytest.raises(ValueError):
-            solve_facility_relaxation(
-                big, ProbabilityVector.uniform(MAX_SITES + 1), 1.0
-            )
+
+    def test_more_than_128_sites(self):
+        cloud = sample_gaussian_mixture(four_cluster_config(samples_per_component=33))
+        res = solve_facility_relaxation(
+            build_cost_matrix(cloud), ProbabilityVector.uniform(cloud.size), 1.0
+        )
+        assert cloud.size == 132
+        assert res.report.status == "optimal"
+        assert extract_clusters(res.plan).cluster_count == 4
 
     def test_zero_penalty_through_cut_path(self):
         cost, p0 = random_instance(101, 15)

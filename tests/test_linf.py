@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from otclust import PointCloud, ProbabilityVector, build_cost_matrix, transport_cost
-from otclust.linf import LinfResult, golden_section, inner_cost, solve_linf
+from otclust import (
+    PointCloud,
+    ProbabilityVector,
+    build_cost_matrix,
+    four_cluster_config,
+    sample_gaussian_mixture,
+    transport_cost,
+)
+from otclust import linf
+from otclust.linf import LinfResult, _column_minima, inner_cost, solve_linf
 
 from oracles import enumerate_lp
 
@@ -28,32 +36,6 @@ def pinned_column_oracle(cost, p0, index, t):
     status, x, value = enumerate_lp(cost.entries.reshape(-1), A, b)
     assert status == "optimal"
     return value
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        t, v = golden_section(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-6)
-        assert abs(t - 0.3) <= 1e-6
-        assert v <= 1e-10
-
-    def test_boundary_minimum(self):
-        t, _ = golden_section(lambda t: -2.0 * t, 0.0, 1.0, 1e-6)
-        assert t == pytest.approx(1.0, abs=1e-5)
-
-    def test_reciprocal_sum(self):
-        t, v = golden_section(lambda t: t + 0.25 / t, 1e-3, 1.0, 1e-6)
-        assert abs(t - 0.5) <= 1e-6
-        assert v == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section(lambda t: t, 1.0, 0.0, 1e-6)
-        with pytest.raises(ValueError):
-            golden_section(lambda t: t, 0.0, 1.0, 0.0)
-
-    def test_aborts_on_nonfinite(self):
-        with pytest.raises(RuntimeError):
-            golden_section(lambda t: float("nan"), 0.0, 1.0, 1e-6)
 
 
 class TestInnerCost:
@@ -168,18 +150,17 @@ class TestSolveLinf:
 
     def test_never_beaten_by_dense_t_grid(self):
         # every grid value is an evaluation of the same convex function the
-        # search minimizes, so the solver can never sit above the grid best
+        # closed form minimizes, so the solver can never sit above the grid
         cost, p0 = random_instance(13, 4)
         penalty = 0.9
         res = solve_linf(cost, p0, penalty)
-        t_min = max(1e-6, float(p0.weights.max()) / 10.0)
-        grid = np.linspace(t_min, 1.0, 120)
+        grid = np.linspace(0.01, 1.0, 120)
         for i in range(4):
             ref = min(
                 inner_cost(cost, p0, i, float(t)) + penalty / float(t)
                 for t in grid
             )
-            assert res.per_index_values[i] <= ref + 1e-7
+            assert res.per_index_values[i] <= ref + 1e-9
 
     def test_two_point_closed_form(self):
         # with two points and even weights the pinned-column cost is
@@ -194,15 +175,14 @@ class TestSolveLinf:
             assert 0.5 < t_star < 1.0
             expected = (t_star - 0.5) * c + penalty / t_star
             res = solve_linf(cost, p0, penalty)
-            assert res.report.objective == pytest.approx(expected, abs=1e-6)
-            assert res.best_mass == pytest.approx(t_star, abs=1e-3)
-        # beyond the pair cost the curve decreases on all of (0, 1]
-        # boundary minimum: the bracket stops within search_tol of t = 1 and
-        # the curve still slopes there, so allow tol * slope in the value
+            assert res.report.objective == pytest.approx(expected, abs=1e-9)
+            assert res.best_mass == pytest.approx(t_star, abs=1e-9)
+        # beyond the pair cost the curve decreases on all of (0, 1], so the
+        # minimum sits on the boundary t = 1
         penalty = 1.5 * c
         res = solve_linf(cost, p0, penalty)
-        assert res.best_mass == pytest.approx(1.0, abs=1e-4)
-        assert res.report.objective == pytest.approx(0.5 * c + penalty, abs=2e-5)
+        assert res.best_mass == pytest.approx(1.0, abs=1e-9)
+        assert res.report.objective == pytest.approx(0.5 * c + penalty, abs=1e-9)
 
     def test_per_index_values_follow_point_relabeling(self):
         cost, p0 = random_instance(15, 5)
@@ -226,8 +206,6 @@ class TestSolveLinf:
         with pytest.raises(ValueError):
             solve_linf(cost, p0, -1.0)
         with pytest.raises(ValueError):
-            solve_linf(cost, p0, 1.0, search_tol=0.0)
-        with pytest.raises(ValueError):
             solve_linf(cost, ProbabilityVector.uniform(4), 1.0)
 
     def test_result_type(self):
@@ -235,5 +213,84 @@ class TestSolveLinf:
         res = solve_linf(cost, p0, 0.5)
         assert isinstance(res, LinfResult)
         assert res.report.status == "optimal"
-        assert res.report.iterations > 0
+        assert res.report.iterations == 3
         assert res.per_index_values.shape == (3,)
+
+
+def edge_instance(rng, n):
+    """Random cloud with some points duplicated (zero pulls, tied fill
+    orders) and some weights zero (empty fill segments)."""
+    points = rng.normal(size=(n, 2))
+    for j in range(1, n):
+        if rng.uniform() < 0.4:
+            points[j] = points[int(rng.integers(0, j))]
+    weights = rng.dirichlet(np.full(n, 2.0))
+    weights[rng.uniform(size=n) < 0.3] = 0.0
+    if weights.sum() == 0.0:
+        weights[int(rng.integers(0, n))] = 1.0
+    return build_cost_matrix(PointCloud(points)), ProbabilityVector(weights / weights.sum())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestClosedForm:
+    def test_edge_inputs_match_lp_oracle(self):
+        # each column minimum is attained by the LP oracle at its mass, and
+        # the LP oracle is no lower a step to either side nor on a grid;
+        # by convexity that pins the exact minimum over (0, 1]
+        rng = np.random.default_rng(2024)
+        step = 1e-6
+        grid = np.linspace(0.02, 1.0, 50)
+        for n in range(2, 7):
+            for trial in range(4):
+                cost, p0 = edge_instance(rng, n)
+                penalty = float([0.05, 0.5, 5.0, 50.0][trial])
+                values, masses = _column_minima(cost.entries, p0.weights, penalty)
+                res = solve_linf(cost, p0, penalty)
+                assert np.array_equal(res.per_index_values, values)
+                for i in range(n):
+                    t = float(masses[i])
+                    assert 0.0 < t <= 1.0
+
+                    def h(s):
+                        return inner_cost(cost, p0, i, float(s)) + penalty / s
+
+                    assert values[i] == pytest.approx(h(t), rel=1e-9, abs=1e-12)
+                    for s in (t - step, t + step):
+                        if 0.0 < s <= 1.0:
+                            assert values[i] <= h(s) + 1e-12, (n, trial, i)
+                    assert values[i] <= min(h(s) for s in grid) + 1e-9
+
+    def test_all_points_coincide(self):
+        # every plan costs nothing, so all mass goes to one column at t = 1
+        cost = build_cost_matrix(PointCloud(np.zeros((4, 2))))
+        res = solve_linf(cost, ProbabilityVector.uniform(4), 0.7)
+        assert res.best_index == 0
+        assert res.best_mass == 1.0
+        assert res.report.objective == pytest.approx(0.7, abs=1e-15)
+        assert np.allclose(res.plan.entries.sum(axis=0), [1.0, 0.0, 0.0, 0.0])
+
+    def test_four_cluster_witness_agrees(self, monkeypatch):
+        cloud = sample_gaussian_mixture(four_cluster_config())
+        p0 = ProbabilityVector.uniform(cloud.size)
+        cost = build_cost_matrix(cloud)
+        calls = []
+        original = linf.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linf, "solve_lp", counting)
+        penalty = 50.0
+        res = solve_linf(cost, p0, penalty)
+        assert len(calls) == 1
+        assert res.report.iterations == cloud.size
+        assert float(res.plan.entries[:, res.best_index].sum()) == pytest.approx(
+            res.best_mass, abs=1e-12
+        )
+        witness = transport_cost(cost, res.plan.entries) + penalty / res.best_mass
+        assert witness == pytest.approx(res.report.objective, rel=1e-9)
+        oracle = inner_cost(cost, p0, res.best_index, res.best_mass)
+        assert oracle + penalty / res.best_mass == pytest.approx(
+            res.report.objective, rel=1e-9
+        )
