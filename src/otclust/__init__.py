@@ -19,9 +19,9 @@ from .datagen import (
     sample_gaussian_mixture,
     ten_cluster_config,
 )
-from .facility import FacilityResult, build_facility_lp, solve_facility_relaxation
+from .facility import FacilityResult, solve_facility_relaxation
 from .linf import LinfResult, inner_cost, solve_linf
-from .lp import LinearProgram, LpConfig, LpSolution, solve_lp, to_standard_form
+from .lp import LinearProgram, LpConfig, LpSolution, solve_lp
 from .pointio import read_points, write_points
 from .son import (
     AdmmConfig,
@@ -48,7 +48,6 @@ __all__ = [
     "LpConfig",
     "LpSolution",
     "solve_lp",
-    "to_standard_form",
     "TransportResult",
     "northwest_corner",
     "solve_transport",
@@ -59,7 +58,6 @@ __all__ = [
     "project_scaled_simplex",
     "solve_son",
     "FacilityResult",
-    "build_facility_lp",
     "solve_facility_relaxation",
     "LinfResult",
     "inner_cost",

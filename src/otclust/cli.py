@@ -21,15 +21,13 @@ from .clustering import ClusteringResult, adjusted_rand_index, extract_clusters
 from .core import ProbabilityVector, build_cost_matrix
 from .datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
 from .pointio import atomic_write_text, read_points, write_points
-from .son import AdmmConfig, solve_son
-from .facility import solve_facility_relaxation
-from .linf import solve_linf
 from .svg import emit_scatter_svg
 from .sweep import (
     BUILTIN_DATASETS,
     ExperimentSpec,
     format_report_json,
     run_sweep,
+    solve_one,
     twelve_digits,
 )
 from .transport import wasserstein2
@@ -79,40 +77,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _admm_overrides(args):
-    overrides = {}
-    if args.max_iterations is not None:
-        overrides["max_iterations"] = args.max_iterations
-    if args.eps_abs is not None:
-        overrides["eps_abs"] = args.eps_abs
-    if args.eps_rel is not None:
-        overrides["eps_rel"] = args.eps_rel
-    return AdmmConfig(**overrides) if overrides else None
-
-
 def _cmd_cluster(args) -> int:
     cloud = read_points(args.points)
     p0 = ProbabilityVector.uniform(cloud.size)
     cost = build_cost_matrix(cloud)
-    if args.method == "son":
-        res = solve_son(cost, p0, args.penalty, config=_admm_overrides(args))
-    elif args.method == "lp":
-        res = solve_facility_relaxation(cost, p0, args.penalty)
-    else:
-        res = solve_linf(cost, p0, args.penalty)
-    clusters = extract_clusters(res.plan, tie_tol=args.tie_tol)
+    plan, report = solve_one(args, cost, p0, args.penalty)
+    clusters = extract_clusters(plan, tie_tol=args.tie_tol)
     document = {
         "method": args.method,
         "lambda": twelve_digits(args.penalty),
-        "objective": twelve_digits(res.report.objective),
-        "status": res.report.status,
-        "iterations": int(res.report.iterations),
+        "objective": twelve_digits(report.objective),
+        "status": report.status,
+        "iterations": int(report.iterations),
         "cluster_count": int(clusters.cluster_count),
         "representatives": sorted(int(j) for j in clusters.representatives),
         "assignment": [int(j) for j in clusters.assignment],
     }
-    if res.report.note:
-        document["note"] = res.report.note
+    if report.note:
+        document["note"] = report.note
     if cloud.labels is not None:
         document["ari"] = twelve_digits(
             adjusted_rand_index(cloud.labels, clusters.assignment)
@@ -120,7 +102,7 @@ def _cmd_cluster(args) -> int:
     _emit_json(document, _default_path(args.out, f"cluster-{args.method}.json"))
     if args.svg is not None:
         emit_scatter_svg(cloud, clusters, Path(args.svg))
-    return 0 if res.report.status == "optimal" else 1
+    return 0 if report.status == "optimal" else 1
 
 
 def _parse_grid(args) -> tuple[float, ...]:

@@ -10,14 +10,14 @@ p0_i * y_j. Charging `penalty` per unit of opening gives the linear program
 Summed over j, the couplings force sum_j y_j >= 1, so at least one unit of
 opening is always paid for.
 
-Small instances solve the explicit program, one coupling row per (i, j)
-pair. Larger ones eliminate the plan block: with the openings fixed, each
-row independently fills its unit of mass into the cheapest sites the caps
-allow, a sorted greedy scan. That inner value is convex piecewise-linear in
-the openings, so the outer problem is solved by cutting planes, with the
-small master program solved through its dual to keep the basis tiny. The
-lower bound from the master meets the upper bound from the greedy fill at
-an exact optimum of the full program.
+The solver never writes out the n^2 coupling rows. It eliminates the plan
+block instead: with the openings fixed, each row independently fills its
+unit of mass into the cheapest sites the caps allow, a sorted greedy scan.
+That inner value is convex piecewise-linear in the openings, so the outer
+problem is solved by cutting planes, with the small master program solved
+through its dual to keep the basis tiny. The lower bound from the master
+meets the upper bound from the greedy fill at an exact optimum of the full
+program, for every instance size.
 """
 
 from __future__ import annotations
@@ -33,16 +33,7 @@ from .core import (
     SolveReport,
     TransportPlan,
 )
-from .lp import (
-    LinearProgram,
-    LpConfig,
-    StandardForm,
-    solve_lp,
-    to_standard_form,
-)
-
-# Instances up to this size solve the explicit program outright.
-DIRECT_SIZE = 12
+from .lp import LinearProgram, LpConfig, solve_lp
 
 _MAX_CUT_ROUNDS = 200
 _GAP_TOLERANCE = 1e-9
@@ -56,47 +47,7 @@ class FacilityResult:
     plan: TransportPlan
     openings: np.ndarray
     report: SolveReport
-    generation_rounds: int = 1
-
-
-def build_facility_lp(
-    cost: CostMatrix,
-    p0: ProbabilityVector,
-    penalty: float,
-    couplings=None,
-) -> StandardForm:
-    """Assemble the opening-penalized transport program in standard form.
-
-    Variables are the plan entries in row-major order followed by the n
-    opening levels. couplings optionally restricts the plan <= p0 y rows to
-    the given (i, j) pairs; None means all n^2 of them.
-    """
-    n, m = cost.shape
-    if n != m:
-        raise ValueError("cost matrix must be square for self-transport")
-    if p0.size != n:
-        raise ValueError("marginal size does not match the cost matrix")
-    if penalty < 0:
-        raise ValueError("penalty must be nonnegative")
-
-    objective = np.concatenate([cost.entries.reshape(-1), np.full(n, penalty)])
-    equalities = [
-        ([(i * n + j, 1.0) for j in range(n)], float(p0.weights[i]))
-        for i in range(n)
-    ]
-    if couplings is None:
-        couplings = ((i, j) for i in range(n) for j in range(n))
-    inequalities = [
-        ([(i * n + j, 1.0), (n * n + j, -float(p0.weights[i]))], "<=", 0.0)
-        for i, j in couplings
-    ]
-    bounds = {n * n + j: 1.0 for j in range(n)}
-    return to_standard_form(
-        objective,
-        inequalities=inequalities,
-        equalities=equalities,
-        upper_bounds=bounds,
-    )
+    generation_rounds: int
 
 
 def _tighten_zero_penalty(entries: np.ndarray, p0: ProbabilityVector, note):
@@ -107,33 +58,7 @@ def _tighten_zero_penalty(entries: np.ndarray, p0: ProbabilityVector, note):
     ratios[positive] = entries[positive] / p0.weights[positive, None]
     openings = ratios.max(axis=0)
     extra = "openings not unique at zero penalty; reporting the smallest"
-    return openings, (f"{note}; {extra}" if note else extra)
-
-
-def _solve_direct(cost, p0, penalty, config) -> FacilityResult:
-    n = cost.shape[0]
-    form = build_facility_lp(cost, p0, penalty)
-    solution = solve_lp(form.lp, config)
-    if solution.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"facility program ended with {solution.status}")
-    primal = solution.primal[: n * n + n]
-    entries = np.clip(primal[: n * n].reshape(n, n), 0.0, None)
-    openings = np.clip(primal[n * n :], 0.0, 1.0)
-    note = None
-    if penalty == 0.0:
-        openings, note = _tighten_zero_penalty(entries, p0, note)
-    report = SolveReport(
-        objective=float(solution.objective_value),
-        iterations=int(solution.pivots),
-        status=STATUS_OPTIMAL,
-        note=note,
-    )
-    return FacilityResult(
-        plan=TransportPlan(entries, p0, tolerance=1e-8),
-        openings=openings,
-        report=report,
-        generation_rounds=1,
-    )
+    return openings, f"{note}; {extra}"
 
 
 class _GreedyFiller:
@@ -283,11 +208,10 @@ def solve_facility_relaxation(
     penalty: float,
     config: LpConfig | None = None,
 ) -> FacilityResult:
-    """Solve the opening-penalized program exactly.
+    """Solve the opening-penalized program exactly by cutting planes.
 
-    Instances with at most DIRECT_SIZE sites use the explicit coupling
-    block; larger ones run the cutting-plane path. Both return a plan, the
-    opening levels, and a report whose iteration count is total pivots.
+    Returns the plan, the opening levels, the number of cut rounds, and a
+    report whose iteration count is the total of master pivots.
     """
     n, m = cost.shape
     if n != m:
@@ -296,7 +220,4 @@ def solve_facility_relaxation(
         raise ValueError("marginal size does not match the cost matrix")
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
-
-    if n <= DIRECT_SIZE:
-        return _solve_direct(cost, p0, penalty, config)
     return _solve_by_cuts(cost, p0, penalty, config)

@@ -95,77 +95,6 @@ class LpSolution:
     pivots: int = 0
 
 
-@dataclass(frozen=True)
-class StandardForm:
-    """A standard-form program plus the width of the original variable block."""
-
-    lp: LinearProgram
-    original_count: int
-
-    def extract(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)[: self.original_count]
-
-
-def to_standard_form(
-    objective,
-    inequalities=(),
-    equalities=(),
-    upper_bounds: dict[int, float] | None = None,
-) -> StandardForm:
-    """Assemble min objective.x with mixed constraints into standard form.
-
-    inequalities: iterable of (coeffs, sense, rhs) with sense "<=" or ">=".
-    equalities:   iterable of (coeffs, rhs).
-    upper_bounds: optional {column: bound}, appended as extra <= rows.
-    coeffs are sparse (column, value) lists over the original variables.
-    Slack and surplus columns are appended after the originals; rows whose
-    rhs is negative are negated first so the standard form keeps rhs >= 0.
-    """
-    c = np.asarray(objective, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("objective must be a nonempty 1-d array")
-    n = c.size
-
-    pending: list[tuple[SparseRow, float, int]] = []  # (row, rhs, slack sign)
-    for coeffs, rhs in equalities:
-        row, beta = list(coeffs), float(rhs)
-        if beta < 0:
-            row = [(j, -v) for j, v in row]
-            beta = -beta
-        pending.append((row, beta, 0))
-    for coeffs, sense, rhs in inequalities:
-        row, beta = list(coeffs), float(rhs)
-        if sense not in ("<=", ">="):
-            raise ValueError(f"unknown sense {sense!r}")
-        sign = 1 if sense == "<=" else -1
-        if beta < 0:
-            row = [(j, -v) for j, v in row]
-            beta, sign = -beta, -sign
-        pending.append((row, beta, sign))
-    for j, bound in sorted((upper_bounds or {}).items()):
-        ub = float(bound)
-        if not np.isfinite(ub):
-            continue
-        if ub < 0:
-            raise ValueError(f"bound x[{j}] <= {ub} contradicts x[{j}] >= 0")
-        pending.append(([(int(j), 1.0)], ub, 1))
-
-    rows: list[SparseRow] = []
-    rhs_out = np.empty(len(pending))
-    next_slack = n
-    for r, (row, beta, sign) in enumerate(pending):
-        full = [(int(j), float(v)) for j, v in row]
-        if sign != 0:
-            full.append((next_slack, float(sign)))
-            next_slack += 1
-        rows.append(full)
-        rhs_out[r] = beta
-    c_full = np.zeros(next_slack)
-    c_full[:n] = c
-    lp = LinearProgram(c_full, tuple(rows), rhs_out, next_slack)
-    return StandardForm(lp, n)
-
-
 class _SparseColumns:
     """Column-compressed constraint matrix with duplicate entries merged."""
 

@@ -86,7 +86,7 @@ def load_dataset(spec: ExperimentSpec) -> PointCloud:
     return read_points(spec.dataset)
 
 
-def _admm_config(spec: ExperimentSpec) -> AdmmConfig | None:
+def _admm_config(spec) -> AdmmConfig | None:
     overrides = {}
     if spec.max_iterations is not None:
         overrides["max_iterations"] = spec.max_iterations
@@ -97,7 +97,10 @@ def _admm_config(spec: ExperimentSpec) -> AdmmConfig | None:
     return AdmmConfig(**overrides) if overrides else None
 
 
-def _solve_one(spec, cost, p0, penalty):
+def solve_one(spec, cost, p0, penalty):
+    """(plan, report) of spec.method at one penalty. spec is an
+    ExperimentSpec, or the cluster command's parsed flags, which carry the
+    same method, max_iterations, eps_abs and eps_rel attributes."""
     if spec.method == "son":
         res = solve_son(cost, p0, penalty, config=_admm_config(spec))
         return res.plan, res.report
@@ -121,7 +124,7 @@ def _result_entry(spec, cost, p0, labels, penalty):
     started = time.perf_counter()
     entry = {"lambda": twelve_digits(penalty)}
     try:
-        plan, report = _solve_one(spec, cost, p0, penalty)
+        plan, report = solve_one(spec, cost, p0, penalty)
     except Exception as exc:
         entry["status"] = "error"
         entry["error"] = f"{type(exc).__name__}: {exc}"

@@ -2,13 +2,16 @@
 
 Nothing in here touches the solver code paths under test: linear programs
 are settled by enumerating basic solutions, transport instances by scanning
-permutations, projections by scanning thresholds.
+permutations, projections by scanning thresholds. The facility relaxation
+is written out in full as a standard-form program for the generic simplex.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from otclust.lp import LinearProgram
 
 BFS_TOL = 1e-9
 
@@ -63,6 +66,37 @@ def lp_to_dense(lp):
         for j, v in row:
             A[r, j] += v
     return A, np.asarray(lp.rhs, dtype=float)
+
+
+def facility_lp(cost, weights, penalty):
+    """The opening-penalized transport program with every coupling written
+    out: min sum cost_ij x_ij + penalty sum y_j subject to sum_j x_ij = w_i,
+    x_ij <= w_i y_j, y_j <= 1.
+
+    Columns are the n^2 plan entries (row-major), the n openings, one slack
+    per coupling row and one per bound row, so the optimal value of the
+    program is the relaxation's optimum.
+    """
+    C = np.asarray(cost, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    n = w.size
+    assert C.shape == (n, n)
+    plan = lambda i, j: i * n + j
+    opening = lambda j: n * n + j
+    coupling_slack = lambda i, j: n * n + n + i * n + j
+    bound_slack = lambda j: 2 * n * n + n + j
+    rows = [[(plan(i, j), 1.0) for j in range(n)] for i in range(n)]
+    rows += [
+        [(plan(i, j), 1.0), (opening(j), -w[i]), (coupling_slack(i, j), 1.0)]
+        for i in range(n)
+        for j in range(n)
+    ]
+    rows += [[(opening(j), 1.0), (bound_slack(j), 1.0)] for j in range(n)]
+    rhs = np.concatenate([w, np.zeros(n * n), np.ones(n)])
+    objective = np.zeros(2 * n * n + 2 * n)
+    objective[: n * n] = C.reshape(-1)
+    objective[n * n : n * n + n] = penalty
+    return LinearProgram(objective, tuple(rows), rhs, objective.size)
 
 
 def permutation_transport_cost(cost):

@@ -12,14 +12,13 @@ from otclust import (
     sample_gaussian_mixture,
 )
 from otclust.facility import (
-    DIRECT_SIZE,
     FacilityResult,
-    build_facility_lp,
     solve_facility_relaxation,
     _solve_by_cuts,
-    _solve_direct,
 )
 from otclust.lp import solve_lp
+
+from oracles import facility_lp
 
 
 def random_instance(seed, n, scale=3.0, uniform=True):
@@ -47,31 +46,27 @@ def best_integer_value(cost, p0, penalty):
     return float(best)
 
 
+def explicit_optimum(cost, p0, penalty):
+    """Optimal value of the relaxation with every coupling row written out."""
+    solution = solve_lp(facility_lp(cost.entries, p0.weights, penalty))
+    assert solution.status == "optimal"
+    return solution.objective_value
+
+
 class TestBuildFacilityLp:
+    """The explicit reference program in tests/oracles.py."""
+
     def test_dimensions(self):
         cost, p0 = random_instance(0, 3)
-        form = build_facility_lp(cost, p0, 1.0)
+        lp = facility_lp(cost.entries, p0.weights, 1.0)
         # 9 plan vars + 3 openings + one slack per coupling and bound row
-        assert form.original_count == 12
-        assert form.lp.variable_count == 12 + 9 + 3
-        assert len(form.lp.rows) == 3 + 9 + 3
-
-    def test_couplings_subset(self):
-        cost, p0 = random_instance(1, 3)
-        form = build_facility_lp(cost, p0, 1.0, couplings=[(0, 0), (1, 2)])
-        assert len(form.lp.rows) == 3 + 2 + 3
-
-    def test_rejects_negative_penalty(self):
-        cost, p0 = random_instance(2, 3)
-        with pytest.raises(ValueError):
-            build_facility_lp(cost, p0, -1.0)
+        assert lp.variable_count == 12 + 9 + 3
+        assert len(lp.rows) == 3 + 9 + 3
 
     def test_solving_built_program_matches_solver_wrapper(self):
         cost, p0 = random_instance(3, 4)
-        form = build_facility_lp(cost, p0, 2.0)
-        raw = solve_lp(form.lp)
         wrapped = solve_facility_relaxation(cost, p0, 2.0)
-        assert raw.objective_value == pytest.approx(
+        assert explicit_optimum(cost, p0, 2.0) == pytest.approx(
             wrapped.report.objective, rel=1e-12
         )
 
@@ -117,15 +112,44 @@ class TestSolveFacility:
             assert res.report.objective <= integer + 1e-9
 
     def test_cut_path_matches_direct_path(self):
+        # penalties stay <= 25: far above that the generic simplex can stall
+        # on the explicit program (zero-length pivots at penalty 1e7)
+        instances = []
         for seed in range(6):
             rng = np.random.default_rng(60 + seed)
             cost, p0 = random_instance(60 + seed, 10, uniform=seed % 2 == 0)
-            penalty = float(rng.uniform(0.0, 25.0))
-            direct = _solve_direct(cost, p0, penalty, None)
+            instances.append((cost, p0, float(rng.uniform(0.0, 25.0))))
+        for n in range(1, 13):
+            # n >= 2 repeats the first point; n >= 3 gives one point no mass
+            rng = np.random.default_rng(200 + n)
+            points = rng.normal(size=(n, 2)) * 3.0
+            points[-1] = points[0]
+            weights = rng.uniform(0.2, 1.0, size=n)
+            if n >= 3:
+                weights[1] = 0.0
+            cost = build_cost_matrix(PointCloud(points))
+            p0 = ProbabilityVector(weights / weights.sum())
+            instances.append((cost, p0, float(rng.uniform(0.0, 25.0))))
+        for cost, p0, penalty in instances:
             cuts = _solve_by_cuts(cost, p0, penalty, None)
             assert cuts.report.objective == pytest.approx(
-                direct.report.objective, rel=1e-9, abs=1e-9
+                explicit_optimum(cost, p0, penalty), rel=1e-9, abs=1e-9
             )
+
+    def test_six_points_at_huge_penalty(self):
+        # the explicit program stalls here in the generic simplex; the cut
+        # path opens the single best site
+        points = np.array([
+            [0.822, 1.066], [2.662, -0.216], [-3.709, -1.459],
+            [0.419, -0.049], [-1.703, 3.339], [2.836, 1.154],
+        ])
+        cost = build_cost_matrix(PointCloud(points))
+        p0 = ProbabilityVector.uniform(6)
+        res = solve_facility_relaxation(cost, p0, 1e7)
+        assert res.report.status == "optimal"
+        assert extract_clusters(res.plan).cluster_count == 1
+        best_site = float((p0.weights @ cost.entries).min())
+        assert res.report.objective == pytest.approx(1e7 + best_site, rel=1e-12)
 
     def test_cut_path_output_is_feasible(self):
         cost, p0 = random_instance(70, 20)
@@ -161,12 +185,6 @@ class TestSolveFacility:
             assert hi >= lo - 1e-9
         for lo, hi in zip(sums, sums[1:]):
             assert hi <= lo + 1e-9
-
-    def test_dispatch_uses_direct_below_threshold(self):
-        cost, p0 = random_instance(95, DIRECT_SIZE)
-        res = solve_facility_relaxation(cost, p0, 1.0)
-        assert res.generation_rounds == 1
-        assert res.report.note is None
 
     def test_input_validation(self):
         cost, p0 = random_instance(99, 4)

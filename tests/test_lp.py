@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otclust import LinearProgram, LpConfig, solve_lp, to_standard_form
+from otclust import LinearProgram, LpConfig, solve_lp
 
 from oracles import enumerate_lp, lp_to_dense
 
@@ -24,40 +24,25 @@ def random_program(rng, n_vars=4, n_rows=2, feasible=True):
 
 class TestStandardForm:
     def test_single_upper_bound(self):
-        # max x subject to x <= 1
-        form = to_standard_form([-1.0], inequalities=[([(0, 1.0)], "<=", 1.0)])
-        assert form.lp.variable_count == 2  # one slack appended
-        sol = solve_lp(form.lp)
+        # max x subject to x + s = 1
+        lp = LinearProgram([-1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0], 2)
+        sol = solve_lp(lp)
         assert sol.status == "optimal"
-        assert form.extract(sol.primal)[0] == pytest.approx(1.0)
+        assert sol.primal[0] == pytest.approx(1.0)
 
     def test_equality_pair(self):
         # min x subject to x + y = 1
-        form = to_standard_form([1.0, 0.0], equalities=[([(0, 1.0), (1, 1.0)], 1.0)])
-        sol = solve_lp(form.lp)
-        assert form.extract(sol.primal) == pytest.approx([0.0, 1.0])
-
-    def test_negative_rhs_negated(self):
-        # -x <= -2 means x >= 2
-        form = to_standard_form([1.0], inequalities=[([(0, -1.0)], "<=", -2.0)])
-        assert (form.lp.rhs >= 0).all()
-        sol = solve_lp(form.lp)
-        assert form.extract(sol.primal)[0] == pytest.approx(2.0)
+        lp = LinearProgram([1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0], 2)
+        sol = solve_lp(lp)
+        assert sol.primal == pytest.approx([0.0, 1.0])
 
     def test_conflicting_rows_detected_in_phase1(self):
-        form = to_standard_form(
-            [0.0],
-            inequalities=[([(0, 1.0)], ">=", 2.0), ([(0, 1.0)], "<=", 1.0)],
+        # x - s = 2 and x + t = 1
+        lp = LinearProgram(
+            [0.0, 0.0, 0.0], ([(0, 1.0), (1, -1.0)], [(0, 1.0), (2, 1.0)]),
+            [2.0, 1.0], 3,
         )
-        assert solve_lp(form.lp).status == "infeasible"
-
-    def test_contradictory_bound_rejected(self):
-        with pytest.raises(ValueError):
-            to_standard_form([1.0], upper_bounds={0: -0.5})
-
-    def test_bad_sense_rejected(self):
-        with pytest.raises(ValueError):
-            to_standard_form([1.0], inequalities=[([(0, 1.0)], "<", 1.0)])
+        assert solve_lp(lp).status == "infeasible"
 
 
 class TestProgramValidation:
