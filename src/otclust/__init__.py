@@ -20,7 +20,7 @@ from .datagen import (
     ten_cluster_config,
 )
 from .facility import FacilityResult, solve_facility_relaxation
-from .linf import LinfResult, inner_cost, solve_linf
+from .linf import LinfResult, solve_linf
 from .lp import LinearProgram, LpConfig, LpSolution, solve_lp
 from .pointio import read_points, write_points
 from .son import (
@@ -32,7 +32,7 @@ from .son import (
 )
 from .svg import emit_scatter_svg
 from .sweep import ExperimentSpec, SweepReport, run_sweep
-from .transport import TransportResult, northwest_corner, solve_transport, wasserstein2
+from .transport import TransportResult, solve_transport, wasserstein2
 
 __all__ = [
     "CostMatrix",
@@ -49,7 +49,6 @@ __all__ = [
     "LpSolution",
     "solve_lp",
     "TransportResult",
-    "northwest_corner",
     "solve_transport",
     "wasserstein2",
     "AdmmConfig",
@@ -60,7 +59,6 @@ __all__ = [
     "FacilityResult",
     "solve_facility_relaxation",
     "LinfResult",
-    "inner_cost",
     "solve_linf",
     "ClusteringResult",
     "adjusted_rand_index",

@@ -163,31 +163,6 @@ class _ColumnProgram:
         return solution
 
 
-def inner_cost(
-    cost: CostMatrix,
-    p0: ProbabilityVector,
-    index: int,
-    t: float,
-    config: LpConfig | None = None,
-) -> float:
-    """Cheapest transport with row sums p0 and exactly mass t on one column,
-    solved as an LP.
-
-    Convex piecewise-linear in t on [0, 1].
-    """
-    n = cost.shape[0]
-    if cost.shape[1] != n:
-        raise ValueError("cost matrix must be square for self-transport")
-    if p0.size != n:
-        raise ValueError("marginal size does not match the cost matrix")
-    if not 0 <= index < n:
-        raise ValueError("column index out of range")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("pinned mass must lie in [0, 1]")
-    program = _ColumnProgram(cost, p0, index)
-    return float(program.solve(t, config).objective_value)
-
-
 def solve_linf(
     cost: CostMatrix,
     p0: ProbabilityVector,

@@ -1,4 +1,11 @@
-"""Exact discrete optimal transport through the simplex solver."""
+"""Exact discrete optimal transport through the simplex solver.
+
+Every solve starts phase 2 from the northwest-corner staircase. The walk
+from cell (0, 0) to (n - 1, m - 1) visits exactly n + m - 1 cells, which
+span every row and column as a tree; their columns are therefore a
+nonsingular basis of the marginal program, and the greedy masses on them
+are its basic solution, so phase 1 is never needed.
+"""
 
 from __future__ import annotations
 
@@ -53,10 +60,15 @@ def solve_transport(
     p1: ProbabilityVector,
     config: LpConfig | None = None,
 ) -> TransportResult:
-    """Minimize sum_ij cost_ij plan_ij over couplings of p0 and p1."""
+    """Minimize sum_ij cost_ij plan_ij over couplings of p0 and p1.
+
+    The simplex starts from the northwest-corner staircase basis (cell
+    (i, j) is column i * m + j) and runs phase 2 only.
+    """
     n, m = cost.shape
     lp = transport_program(cost, p0, p1)
-    sol = solve_lp(lp, config)
+    rows, cols, _ = _staircase(p0, p1)
+    sol = solve_lp(lp, config, initial_basis=rows * m + cols)
     if sol.status != STATUS_OPTIMAL:
         raise RuntimeError(f"transport solve ended with status {sol.status!r}")
     plan = TransportPlan(sol.primal.reshape(n, m), p0, p1, tolerance=1e-8)
@@ -83,31 +95,38 @@ def wasserstein2(
     return value, float(np.sqrt(value))
 
 
-def northwest_corner(p0: ProbabilityVector, p1: ProbabilityVector) -> TransportPlan:
-    """Greedy staircase coupling; feasible, generally suboptimal.
+def _staircase(p0: ProbabilityVector, p1: ProbabilityVector):
+    """The northwest-corner walk: (rows, cols, masses) of its n + m - 1 cells.
 
-    Fills cells in row-major scan order, always exhausting the smaller
-    remaining marginal, so at most size(p0) + size(p1) - 1 entries are
-    nonzero.
+    Starting at (0, 0), each cell takes the smaller remaining marginal and the
+    walk moves down when the row is exhausted (ties included), right
+    otherwise, until it reaches (n - 1, m - 1).
     """
     a = p0.weights.copy()
     b = p1.weights.copy()
     n, m = a.size, b.size
-    plan = np.zeros((n, m))
+    rows = np.empty(n + m - 1, dtype=np.int64)
+    cols = np.empty(n + m - 1, dtype=np.int64)
+    masses = np.empty(n + m - 1)
     i = j = 0
-    while True:
+    for k in range(n + m - 1):
         t = min(a[i], b[j])
-        plan[i, j] = t
+        rows[k], cols[k], masses[k] = i, j, t
         a[i] -= t
         b[j] -= t
-        if i == n - 1 and j == m - 1:
-            break
-        if j == m - 1:
-            i += 1
-        elif i == n - 1:
-            j += 1
-        elif a[i] <= b[j]:
+        if j == m - 1 or (i < n - 1 and a[i] <= b[j]):
             i += 1
         else:
             j += 1
+    return rows, cols, masses
+
+
+def northwest_corner(p0: ProbabilityVector, p1: ProbabilityVector) -> TransportPlan:
+    """Greedy staircase coupling; feasible, generally suboptimal.
+
+    At most size(p0) + size(p1) - 1 entries are nonzero.
+    """
+    rows, cols, masses = _staircase(p0, p1)
+    plan = np.zeros((p0.size, p1.size))
+    plan[rows, cols] = masses
     return TransportPlan(plan, p0, p1, tolerance=1e-8)

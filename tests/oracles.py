@@ -3,7 +3,9 @@
 Nothing in here touches the solver code paths under test: linear programs
 are settled by enumerating basic solutions, transport instances by scanning
 permutations, projections by scanning thresholds. The facility relaxation
-is written out in full as a standard-form program for the generic simplex.
+and linf's pinned-column transport program are written out in full for the
+generic simplex, as LP references for the cutting-plane and closed-form
+solvers.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 
+from otclust.linf import _ColumnProgram
 from otclust.lp import LinearProgram
 
 BFS_TOL = 1e-9
@@ -97,6 +100,25 @@ def facility_lp(cost, weights, penalty):
     objective[: n * n] = C.reshape(-1)
     objective[n * n : n * n + n] = penalty
     return LinearProgram(objective, tuple(rows), rhs, objective.size)
+
+
+def inner_cost(cost, p0, index, t, config=None):
+    """Cheapest transport with row sums p0 and exactly mass t on one column,
+    solved as an LP.
+
+    Convex piecewise-linear in t on [0, 1].
+    """
+    n = cost.shape[0]
+    if cost.shape[1] != n:
+        raise ValueError("cost matrix must be square for self-transport")
+    if p0.size != n:
+        raise ValueError("marginal size does not match the cost matrix")
+    if not 0 <= index < n:
+        raise ValueError("column index out of range")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("pinned mass must lie in [0, 1]")
+    program = _ColumnProgram(cost, p0, index)
+    return float(program.solve(t, config).objective_value)
 
 
 def permutation_transport_cost(cost):

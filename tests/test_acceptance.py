@@ -22,7 +22,6 @@ from otclust import (
     envelope_value,
     extract_clusters,
     four_cluster_config,
-    inner_cost,
     project_scaled_simplex,
     run_sweep,
     sample_gaussian_mixture,
@@ -35,7 +34,7 @@ from otclust import (
 )
 from otclust.cli import main
 
-from oracles import enumerate_lp, projection_threshold_scan
+from oracles import enumerate_lp, inner_cost, projection_threshold_scan
 
 CRITERIA = {}
 

@@ -10,9 +10,9 @@ from otclust import (
     transport_cost,
 )
 from otclust import linf
-from otclust.linf import LinfResult, _column_minima, inner_cost, solve_linf
+from otclust.linf import LinfResult, _column_minima, solve_linf
 
-from oracles import enumerate_lp
+from oracles import enumerate_lp, inner_cost
 
 
 def random_instance(seed, n, uniform=False):

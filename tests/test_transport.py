@@ -8,11 +8,15 @@ from otclust import (
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
-    northwest_corner,
+    four_cluster_config,
+    sample_gaussian_mixture,
+    solve_lp,
     solve_transport,
+    ten_cluster_config,
     transport_cost,
     wasserstein2,
 )
+from otclust.transport import _staircase, northwest_corner, transport_program
 
 from oracles import permutation_transport_cost
 
@@ -117,6 +121,25 @@ class TestNorthwestCorner:
             assert plan.row_sums() == pytest.approx(p0.weights, abs=1e-9)
             assert plan.column_sums() == pytest.approx(p1.weights, abs=1e-9)
 
+    def test_walk_is_a_staircase_of_n_plus_m_minus_1_cells(self):
+        rng = np.random.default_rng(32)
+        for _ in range(50):
+            n, m = (int(k) for k in rng.integers(1, 9, size=2))
+            w0, w1 = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            w0[rng.random(n) < 0.3] = 0.0
+            w1[rng.random(m) < 0.3] = 0.0
+            if w0.sum() == 0.0 or w1.sum() == 0.0:
+                continue
+            p0 = ProbabilityVector(w0 / w0.sum())
+            p1 = ProbabilityVector(w1 / w1.sum())
+            rows, cols, masses = _staircase(p0, p1)
+            assert rows.size == n + m - 1
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == n + m - 1
+            assert (rows[0], cols[0]) == (0, 0)
+            assert (rows[-1], cols[-1]) == (n - 1, m - 1)
+            assert (np.diff(rows) + np.diff(cols) == 1).all()
+            assert (masses >= 0.0).all()
+
     def test_never_beats_the_optimum(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -126,3 +149,120 @@ class TestNorthwestCorner:
             greedy = transport_cost(cost, northwest_corner(p0, p1).entries)
             best = solve_transport(cost, p0, p1).report.objective
             assert greedy >= best - 1e-9
+
+
+def _with_zeros(rng, size, zeros):
+    w = rng.dirichlet(np.ones(size))
+    w[list(zeros)] = 0.0
+    return ProbabilityVector(w / w.sum())
+
+
+def _cold_objective(cost, p0, p1):
+    sol = solve_lp(transport_program(cost, p0, p1))
+    assert sol.status == "optimal"
+    return sol.objective_value
+
+
+class TestStaircaseWarmStart:
+    """solve_transport starts from the staircase basis; these compare it
+    with a cold two-phase solve of the same program."""
+
+    @pytest.mark.parametrize(
+        "n, m, zeros0, zeros1",
+        [
+            (1, 1, (), ()),
+            (1, 7, (), (0, 3)),
+            (7, 1, (2, 6), ()),
+            (5, 9, (0,), (8,)),
+            (9, 5, (4, 8), (0, 1)),
+            (30, 50, (0, 7, 29), (3, 4, 49)),
+            (60, 40, (59,), (0, 20, 39)),
+        ],
+    )
+    def test_zero_weights_match_cold_solve(self, n, m, zeros0, zeros1):
+        rng = np.random.default_rng(n * 100 + m)
+        p0 = _with_zeros(rng, n, zeros0)
+        p1 = _with_zeros(rng, m, zeros1)
+        cost = CostMatrix(rng.random((n, m)))
+        result = solve_transport(cost, p0, p1)
+        assert result.report.objective == pytest.approx(
+            _cold_objective(cost, p0, p1), abs=1e-9
+        )
+        assert result.plan.row_sums() == pytest.approx(p0.weights, abs=1e-9)
+        assert result.plan.column_sums() == pytest.approx(p1.weights, abs=1e-9)
+
+    def test_duplicate_points_match_cold_solve(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(6, 2))
+        source = PointCloud(base[[0, 0, 1, 2, 2, 2, 3]])
+        target = PointCloud(base[[1, 1, 4, 5, 5]])
+        cost = build_cost_matrix(source, target)
+        p0 = _with_zeros(rng, 7, (1,))
+        p1 = ProbabilityVector.uniform(5)
+        got = solve_transport(cost, p0, p1).report.objective
+        assert got == pytest.approx(_cold_objective(cost, p0, p1), abs=1e-9)
+
+    def test_duplicate_points_self_transport_is_free(self):
+        cloud = PointCloud(np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], 3, axis=0))
+        cost = build_cost_matrix(cloud)
+        p = _with_zeros(np.random.default_rng(6), 9, (4,))
+        result = solve_transport(cost, p, p)
+        assert result.report.objective == pytest.approx(0.0, abs=1e-12)
+
+    def test_staircase_basis_is_adopted(self):
+        # a cold phase 1 takes 3,957 pivots here; the staircase starts on the
+        # diagonal, so a fallback to phase 1 shows as a jump in the count
+        cloud = sample_gaussian_mixture(four_cluster_config())
+        cost = build_cost_matrix(cloud)
+        p = ProbabilityVector.uniform(cloud.size)
+        report = solve_transport(cost, p, p).report
+        assert report.objective == pytest.approx(0.0, abs=1e-12)
+        assert report.iterations < 500
+
+    @pytest.mark.parametrize("n, m", [(1, 6), (5, 8), (8, 5), (20, 30)])
+    def test_sorted_line_starts_at_the_optimum(self, n, m):
+        # squared distance between sorted points on a line is a Monge cost,
+        # for which the staircase is optimal: no pivot is needed, while a
+        # phase 1 would need at least one per artificial column
+        rng = np.random.default_rng(n * m)
+        x = np.sort(rng.normal(size=n))[:, None]
+        y = np.sort(rng.normal(size=m))[:, None]
+        cost = build_cost_matrix(PointCloud(x), PointCloud(y))
+        p0 = ProbabilityVector(rng.dirichlet(np.ones(n)))
+        p1 = ProbabilityVector(rng.dirichlet(np.ones(m)))
+        result = solve_transport(cost, p0, p1)
+        assert result.report.iterations == 0
+        assert result.plan.entries == pytest.approx(
+            northwest_corner(p0, p1).entries, abs=1e-12
+        )
+
+
+class TestAgainstAssignmentSolver:
+    """Uniform marginals of equal size: the optimum is an assignment, so
+    scipy's linear_sum_assignment gives the mean cost independently."""
+
+    @staticmethod
+    def _clouds(size):
+        if size == 100:
+            return (
+                sample_gaussian_mixture(ten_cluster_config()),
+                sample_gaussian_mixture(ten_cluster_config(seed=3)),
+            )
+        per = size // 4
+        return (
+            sample_gaussian_mixture(four_cluster_config(per, seed=7)),
+            sample_gaussian_mixture(four_cluster_config(per, seed=8)),
+        )
+
+    @pytest.mark.parametrize("size", [40, 80, 100])
+    def test_matches_linear_sum_assignment(self, size):
+        optimize = pytest.importorskip("scipy.optimize")
+        source, target = self._clouds(size)
+        assert source.size == target.size == size
+        u = ProbabilityVector.uniform(size)
+        for a, b in ((source, target), (source, source)):
+            cost = build_cost_matrix(a, b)
+            rows, cols = optimize.linear_sum_assignment(cost.entries)
+            want = float(cost.entries[rows, cols].sum()) / size
+            got = solve_transport(cost, u, u).report.objective
+            assert got == pytest.approx(want, abs=1e-9)
