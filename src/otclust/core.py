@@ -231,10 +231,13 @@ def support_cardinality(values, threshold: float | None = None) -> int:
 def envelope_value(plan: TransportPlan) -> float:
     """Sum of column 2-norms of the plan divided by ||row target||_2.
 
-    For any row-feasible plan this value is at least 1 and never exceeds the
-    number of nonzero columns, so it acts as a convex surrogate for the
-    support size of the column marginal. Each column norm is also bounded by
-    ||row target||_2, which makes the per-column contribution at most 1.
+    This is the `son` surrogate. For any row-feasible plan it is at least 1
+    and never exceeds the number of nonzero columns, so it is a convex lower
+    bound on the support size of the column marginal. Each column norm is
+    bounded by ||row target||_2, which makes the per-column contribution at
+    most 1. It is not the tightest convex lower bound: the per-column box
+    envelope sum_j max_i plan_ij / target_i is never smaller (sqrt(2)
+    against 2 for the diagonal plan of (1/2, 1/2)).
     """
     scale = plan.row_target.norm2()
     if scale == 0.0:

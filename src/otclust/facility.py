@@ -15,9 +15,11 @@ block instead: with the openings fixed, each row independently fills its
 unit of mass into the cheapest sites the caps allow, a sorted greedy scan.
 That inner value is convex piecewise-linear in the openings, so the outer
 problem is solved by cutting planes, with the small master program solved
-through its dual to keep the basis tiny. The lower bound from the master
-meets the upper bound from the greedy fill at an exact optimum of the full
-program, for every instance size.
+through its dual to keep the basis tiny. In the dual a new cut is a new
+column, so each master solve starts phase 2 from the previous optimal
+basis. The lower bound from the master meets the upper bound from the
+greedy fill at an exact optimum of the full program, for every instance
+size.
 """
 
 from __future__ import annotations
@@ -94,60 +96,77 @@ class _GreedyFiller:
         return values, fills_unsorted, marginal, prices_unsorted
 
 
+class _MasterColumns:
+    """The dual of the cutting-plane master as CSC arrays kept across rounds.
+
+    Master: min penalty * sum y + sum_i weights_i theta_i subject to
+    theta_i + prices . y >= intercept for each cut, sum y >= 1, y <= 1,
+    everything nonnegative. Its dual has one row per master variable (the n
+    openings, then the q row values), so the simplex basis stays
+    (n + q) square however many cuts accumulate. Its columns are the cuts in
+    order, then sum y >= 1, the n bounds y <= 1 and one slack per row; a new
+    cut appends a column, and the rows and rhs never change.
+    """
+
+    def __init__(self, n: int, weights: np.ndarray, penalty: float):
+        self.n = n
+        self.rhs = np.concatenate([np.full(n, penalty), weights])
+        self.objective = np.empty(0)
+        self.widths = np.empty(0, dtype=np.int64)
+        self.rowidx = np.empty(0, dtype=np.int64)
+        self.vals = np.empty(0)
+
+    def add_cuts(self, owners: np.ndarray, intercepts: np.ndarray, prices: np.ndarray):
+        """One column per cut theta_owner + prices . y >= intercept."""
+        block = np.zeros((owners.size, self.rhs.size))
+        block[:, : self.n] = prices
+        block[np.arange(owners.size), self.n + owners] = 1.0
+        cut, row = np.nonzero(block)
+        self.objective = np.concatenate([self.objective, -intercepts])
+        self.widths = np.concatenate([self.widths, np.bincount(cut, minlength=owners.size)])
+        self.rowidx = np.concatenate([self.rowidx, row])
+        self.vals = np.concatenate([self.vals, block[cut, row]])
+
+    def program(self) -> LinearProgram:
+        n, rows = self.n, self.rhs.size
+        widths = np.concatenate([self.widths, [n], np.ones(n + rows, dtype=np.int64)])
+        return LinearProgram(
+            objective=np.concatenate([self.objective, [-1.0], np.ones(n), np.zeros(rows)]),
+            colptr=np.concatenate([[0], np.cumsum(widths)]),
+            rowidx=np.concatenate([self.rowidx, np.arange(n), np.arange(n), np.arange(rows)]),
+            vals=np.concatenate([self.vals, np.ones(n), -np.ones(n), np.ones(rows)]),
+            rhs=self.rhs,
+        )
+
+
 def _solve_master_dual(
-    n: int,
-    weights: np.ndarray,
-    penalty: float,
-    cuts: list[tuple[int, float, np.ndarray]],
+    master: _MasterColumns,
+    previous: tuple[np.ndarray, int] | None,
     config: LpConfig | None,
 ):
     """Solve the cutting-plane master through its dual.
 
-    Master: min penalty * sum y + sum_i weights_i theta_i subject to
-    theta_i + prices . y >= intercept for each cut, sum y >= 1, y <= 1,
-    everything nonnegative. The dual has one row per master variable, so
-    the simplex basis stays (n + active rows) square however many cuts
-    accumulate. Master primal values are the negated row duals.
+    previous is (basis, cut count) of the last master solve. Cuts added
+    since then are new columns, so that basis is still primal feasible and
+    starts phase 2 once its ids past the old cuts shift by the number of new
+    cuts. A master without cuts is not carried over: its optimum sets every
+    opening row tight at once, a vertex so degenerate that starting from it
+    costs more pivots than the crash basis. Master primal values are the
+    negated row duals. Returns (y, theta, bound, pivots, (basis, cut count)).
     """
-    q = weights.size
-    columns = []  # (objective coeff, [(row, coeff), ...])
-    for owner, intercept, prices in cuts:
-        entries = [(n + owner, 1.0)]
-        entries.extend(
-            (int(j), float(prices[j])) for j in np.flatnonzero(prices)
-        )
-        columns.append((-float(intercept), entries))
-    columns.append((-1.0, [(j, 1.0) for j in range(n)]))  # sum y >= 1
-    for j in range(n):
-        columns.append((1.0, [(j, -1.0)]))  # y_j <= 1
-    width = len(columns)
-    objective = np.fromiter(
-        (c for c, _ in columns), dtype=float, count=width
-    )
-    objective = np.concatenate([objective, np.zeros(n + q)])
-    rows = []
-    rhs = np.concatenate([np.full(n, penalty), weights])
-    per_row = [[] for _ in range(n + q)]
-    for col, (_, entries) in enumerate(columns):
-        for row, coeff in entries:
-            per_row[row].append((col, coeff))
-    for row in range(n + q):
-        per_row[row].append((width + row, 1.0))  # slack for <=
-        rows.append(tuple(per_row[row]))
-    lp = LinearProgram(
-        objective=objective,
-        rows=tuple(rows),
-        rhs=rhs,
-        variable_count=width + n + q,
-    )
-    solution = solve_lp(lp, config)
+    n, cuts = master.n, master.objective.size
+    initial = None
+    if previous is not None and previous[1] > 0:
+        basis, old_cuts = previous
+        initial = np.where(basis < old_cuts, basis, basis + cuts - old_cuts)
+    solution = solve_lp(master.program(), config, initial_basis=initial)
     if solution.status != STATUS_OPTIMAL:
         raise RuntimeError(f"cut master ended with {solution.status}")
     primal = -solution.dual
     y = np.clip(primal[:n], 0.0, 1.0)
     theta = primal[n:]
     bound = -float(solution.objective_value)
-    return y, theta, bound, int(solution.pivots)
+    return y, theta, bound, int(solution.pivots), (solution.basis, cuts)
 
 
 def _solve_by_cuts(cost, p0, penalty, config) -> FacilityResult:
@@ -156,15 +175,14 @@ def _solve_by_cuts(cost, p0, penalty, config) -> FacilityResult:
     weights = p0.weights[active]
     filler = _GreedyFiller(cost.entries, active)
 
-    cuts: list[tuple[int, float, np.ndarray]] = []
+    master = _MasterColumns(n, weights, penalty)
+    basis = None
     total_pivots = 0
     best_value = np.inf
     best_plan = None
     best_openings = None
     for round_index in range(1, _MAX_CUT_ROUNDS + 1):
-        y, theta, bound, pivots = _solve_master_dual(
-            n, weights, penalty, cuts, config
-        )
+        y, theta, bound, pivots, basis = _solve_master_dual(master, basis, config)
         total_pivots += pivots
         values, fills, marginals, prices = filler.fill(y)
         true_value = penalty * float(y.sum()) + float(weights @ values)
@@ -195,10 +213,8 @@ def _solve_by_cuts(cost, p0, penalty, config) -> FacilityResult:
             )
         # cut only the rows whose master value still undershoots the fill
         slack = values - theta
-        for local in np.flatnonzero(slack > 1e-12 * np.maximum(1.0, values)):
-            cuts.append(
-                (int(local), float(marginals[local]), prices[local].copy())
-            )
+        owners = np.flatnonzero(slack > 1e-12 * np.maximum(1.0, values))
+        master.add_cuts(owners, marginals[owners], prices[owners])
     raise RuntimeError("cutting planes did not close the gap")
 
 

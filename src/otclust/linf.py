@@ -146,13 +146,16 @@ class _ColumnProgram:
 
     def solve(self, t: float, config: LpConfig | None = None):
         n = self.n
-        rows = [tuple((j * n + k, 1.0) for k in range(n)) for j in range(n)]
-        rows.append(tuple((j * n + self.index, 1.0) for j in range(n)))
+        # entry (j, k) is column j * n + k, in row j and, for k = index, row n
+        width = np.ones((n, n), dtype=np.int64)
+        width[:, self.index] = 2
+        rowidx = np.stack([np.repeat(np.arange(n), n), np.full(n * n, n)], axis=1)
         lp = LinearProgram(
             objective=self.costs.reshape(-1).astype(float),
-            rows=tuple(rows),
+            colptr=np.concatenate([[0], np.cumsum(width)]),
+            rowidx=rowidx[width.ravel()[:, None] > np.arange(2)],
+            vals=np.ones(int(width.sum())),
             rhs=np.concatenate([self.weights, [t]]),
-            variable_count=n * n,
         )
         initial = self._starting_basis(t) if n > 1 else None
         solution = solve_lp(lp, config, initial_basis=initial)

@@ -1,4 +1,4 @@
-"""Dense two-phase revised simplex over sparse row data.
+"""Dense two-phase revised simplex over a column-compressed constraint matrix.
 
 Standard form is min c.x subject to A x = b, x >= 0 with b >= 0. The solver
 keeps an explicit basis inverse, updates it rank-1 per pivot, and rebuilds it
@@ -27,53 +27,95 @@ from .core import (
     STATUS_UNBOUNDED,
 )
 
-SparseRow = list[tuple[int, float]]
-
 _DEGENERATE_STEP = 1e-12
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective.x s.t. rows(x) = rhs, x >= 0, with rhs >= 0.
+    """min objective.x s.t. A x = rhs, x >= 0, with rhs >= 0.
 
-    Rows are sparse lists of (column, coefficient). Duplicate column entries
-    within a row are summed when the matrix is compressed.
+    A is column-compressed: column j holds the coefficients
+    vals[colptr[j]:colptr[j + 1]] in rows rowidx[colptr[j]:colptr[j + 1]].
+    Construction sorts each column by row and sums duplicate entries.
     """
 
     objective: np.ndarray
-    rows: tuple[SparseRow, ...]
+    colptr: np.ndarray
+    rowidx: np.ndarray
+    vals: np.ndarray
     rhs: np.ndarray
-    variable_count: int
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
         b = np.asarray(self.rhs, dtype=float)
-        if self.variable_count < 1:
+        colptr = np.asarray(self.colptr, dtype=np.int64)
+        rowidx = np.asarray(self.rowidx, dtype=np.int64)
+        vals = np.asarray(self.vals, dtype=float)
+        n, m = c.size, b.size
+        if c.ndim != 1 or n < 1:
             raise ValueError("need at least one variable")
-        if c.shape != (self.variable_count,):
-            raise ValueError("objective length does not match variable count")
-        if b.ndim != 1 or len(self.rows) != b.size:
-            raise ValueError("rhs length does not match row count")
+        if b.ndim != 1:
+            raise ValueError("rhs must be a vector")
+        if colptr.shape != (n + 1,) or colptr[0] != 0 or (np.diff(colptr) < 0).any():
+            raise ValueError("column pointers do not match the variable count")
+        if rowidx.shape != (colptr[-1],) or vals.shape != rowidx.shape:
+            raise ValueError("entry arrays do not match the column pointers")
         if (b < 0).any():
             raise ValueError("standard form requires rhs >= 0")
-        if not (np.isfinite(c).all() and np.isfinite(b).all()):
+        if not (np.isfinite(c).all() and np.isfinite(b).all() and np.isfinite(vals).all()):
             raise ValueError("nonfinite problem data")
-        rows = tuple(tuple((int(j), float(v)) for j, v in row) for row in self.rows)
-        for r, row in enumerate(rows):
-            if not any(v != 0.0 for _, v in row):
-                raise ValueError(f"row {r} has no nonzero coefficient")
-            for j, v in row:
-                if not 0 <= j < self.variable_count:
-                    raise ValueError(f"row {r} references column {j} out of range")
-                if not np.isfinite(v):
-                    raise ValueError(f"row {r} has nonfinite coefficient")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rhs", b)
+        if rowidx.size and (rowidx.min() < 0 or rowidx.max() >= m):
+            raise ValueError("row index out of range")
+        cols = np.repeat(np.arange(n), np.diff(colptr))
+        if (np.diff(rowidx)[cols[1:] == cols[:-1]] <= 0).any():
+            keys, inverse = np.unique(cols * m + rowidx, return_inverse=True)
+            vals = np.bincount(inverse, weights=vals, minlength=keys.size)
+            rowidx, cols = keys % m, keys // m
+            colptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+        empty = np.bincount(rowidx[vals != 0.0], minlength=m) == 0
+        if empty.any():
+            raise ValueError(f"row {int(np.argmax(empty))} has no nonzero coefficient")
+        for name, value in (("objective", c), ("rhs", b), ("colptr", colptr),
+                            ("rowidx", rowidx), ("vals", vals)):
+            object.__setattr__(self, name, value)
+        nonempty = np.diff(colptr) > 0
+        object.__setattr__(self, "_nonempty", nonempty)
+        object.__setattr__(self, "_starts", colptr[:-1][nonempty])
+
+    @property
+    def variable_count(self) -> int:
+        return self.objective.size
 
     @property
     def constraint_count(self) -> int:
-        return len(self.rows)
+        return self.rhs.size
+
+    def column(self, j: int) -> np.ndarray:
+        out = np.zeros(self.constraint_count)
+        lo, hi = self.colptr[j], self.colptr[j + 1]
+        out[self.rowidx[lo:hi]] = self.vals[lo:hi]
+        return out
+
+    def transpose_dot(self, y: np.ndarray) -> np.ndarray:
+        """A.T @ y over all columns, using the CSC segment layout."""
+        out = np.zeros(self.variable_count)
+        if self.vals.size:
+            contrib = self.vals * y[self.rowidx]
+            out[self._nonempty] = np.add.reduceat(contrib, self._starts)
+        return out
+
+    def without_rows(self, keep: np.ndarray) -> "LinearProgram":
+        """The program restricted to the rows where keep is True."""
+        kept = keep[self.rowidx]
+        cols = np.repeat(np.arange(self.variable_count), np.diff(self.colptr))
+        counts = np.bincount(cols[kept], minlength=self.variable_count)
+        return LinearProgram(
+            self.objective,
+            np.concatenate([[0], np.cumsum(counts)]),
+            (np.cumsum(keep) - 1)[self.rowidx[kept]],
+            self.vals[kept],
+            self.rhs[keep],
+        )
 
 
 @dataclass(frozen=True)
@@ -95,91 +137,29 @@ class LpSolution:
     pivots: int = 0
 
 
-class _SparseColumns:
-    """Column-compressed constraint matrix with duplicate entries merged."""
-
-    def __init__(self, coo_rows, coo_cols, coo_vals, m, n):
-        keys = coo_cols.astype(np.int64) * np.int64(m) + coo_rows
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, coo_vals)
-        cols = uniq // m
-        self.rowidx = uniq % m
-        self.vals = merged
-        self.col_of_entry = cols
-        self.colptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.colptr, cols + 1, 1)
-        np.cumsum(self.colptr, out=self.colptr)
-        self.m = m
-        self.n = n
-
-    @classmethod
-    def from_program(cls, lp: LinearProgram) -> "_SparseColumns":
-        rows_idx, cols_idx, vals = [], [], []
-        for r, row in enumerate(lp.rows):
-            for j, v in row:
-                rows_idx.append(r)
-                cols_idx.append(j)
-                vals.append(v)
-        return cls(
-            np.asarray(rows_idx, dtype=np.int64),
-            np.asarray(cols_idx, dtype=np.int64),
-            np.asarray(vals, dtype=float),
-            lp.constraint_count,
-            lp.variable_count,
-        )
-
-    def column(self, j: int) -> np.ndarray:
-        out = np.zeros(self.m)
-        lo, hi = self.colptr[j], self.colptr[j + 1]
-        out[self.rowidx[lo:hi]] = self.vals[lo:hi]
-        return out
-
-    def transpose_dot(self, y: np.ndarray) -> np.ndarray:
-        """A.T @ y over all columns, using the CSC segment layout."""
-        out = np.zeros(self.n)
-        if self.vals.size == 0:
-            return out
-        contrib = self.vals * y[self.rowidx]
-        nonempty = np.flatnonzero(np.diff(self.colptr) > 0)
-        out[nonempty] = np.add.reduceat(contrib, self.colptr[nonempty])
-        return out
-
-    def drop_rows(self, keep_mask: np.ndarray) -> "_SparseColumns":
-        new_index = np.cumsum(keep_mask) - 1
-        entry_keep = keep_mask[self.rowidx]
-        return _SparseColumns(
-            new_index[self.rowidx[entry_keep]],
-            self.col_of_entry[entry_keep],
-            self.vals[entry_keep].copy(),
-            int(keep_mask.sum()),
-            self.n,
-        )
-
-
 class _SimplexState:
     """Basis bookkeeping: ids >= n denote the artificial column e_(id - n)."""
 
-    def __init__(self, mat, b, basis, cfg, budget):
-        self.mat = mat
-        self.b = b
+    def __init__(self, lp, basis, cfg, budget):
+        self.lp = lp
         self.basis = basis
         self.cfg = cfg
         self.budget = budget
         self.pivots = 0
-        self.in_basis = np.zeros(mat.n, dtype=bool)
+        self.n = lp.variable_count
+        self.in_basis = np.zeros(self.n, dtype=bool)
         for cid in basis:
-            if cid < mat.n:
+            if cid < self.n:
                 self.in_basis[cid] = True
         self.refactor()
 
     def basis_matrix(self) -> np.ndarray:
-        m, n = self.mat.m, self.mat.n
+        m, n = self.lp.constraint_count, self.n
         B = np.zeros((m, m))
         for k, cid in enumerate(self.basis):
             if cid < n:
-                lo, hi = self.mat.colptr[cid], self.mat.colptr[cid + 1]
-                B[self.mat.rowidx[lo:hi], k] = self.mat.vals[lo:hi]
+                lo, hi = self.lp.colptr[cid], self.lp.colptr[cid + 1]
+                B[self.lp.rowidx[lo:hi], k] = self.lp.vals[lo:hi]
             else:
                 B[cid - n, k] = 1.0
         return B
@@ -189,26 +169,26 @@ class _SimplexState:
             self.binv = np.linalg.inv(self.basis_matrix())
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("basis matrix became singular") from exc
-        self.xb = self.binv @ self.b
+        self.xb = self.binv @ self.lp.rhs
         self.updated_since_refactor = False
 
     def ftran(self, cid: int) -> np.ndarray:
-        if cid >= self.mat.n:
-            return self.binv[:, cid - self.mat.n].copy()
-        return self.binv @ self.mat.column(cid)
+        if cid >= self.n:
+            return self.binv[:, cid - self.n].copy()
+        return self.binv @ self.lp.column(cid)
 
     def basis_costs(self, cost: np.ndarray, art_cost: float) -> np.ndarray:
         cb = np.full(self.basis.size, art_cost)
-        struct = self.basis < self.mat.n
+        struct = self.basis < self.n
         cb[struct] = cost[self.basis[struct]]
         return cb
 
     def replace(self, pos: int, entering: int):
         leaving = self.basis[pos]
-        if leaving < self.mat.n:
+        if leaving < self.n:
             self.in_basis[leaving] = False
         self.basis[pos] = entering
-        if entering < self.mat.n:
+        if entering < self.n:
             self.in_basis[entering] = True
 
     def pivot(self, entering: int, leave_pos: int, d: np.ndarray) -> float:
@@ -234,23 +214,25 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str
     columns are priced, so artificials cannot reenter.
     """
     cfg = state.cfg
-    bland_trigger = 3 * state.mat.m
+    # reduced costs carry rounding in proportion to the costs themselves
+    tolerance = cfg.pivot_tolerance * max(1.0, art_cost, float(np.abs(cost).max()))
+    bland_trigger = 3 * state.lp.constraint_count
     degenerate_run = 0
     use_bland = False
     while True:
         if state.pivots >= state.budget:
             return STATUS_MAX_ITERATIONS
         y = state.basis_costs(cost, art_cost) @ state.binv
-        reduced = cost - state.mat.transpose_dot(y)
+        reduced = cost - state.lp.transpose_dot(y)
         reduced[state.in_basis] = np.inf
         if use_bland:
-            candidates = np.flatnonzero(reduced < -cfg.pivot_tolerance)
+            candidates = np.flatnonzero(reduced < -tolerance)
             if candidates.size == 0:
                 return STATUS_OPTIMAL
             entering = int(candidates[0])
         else:
             entering = int(np.argmin(reduced))
-            if reduced[entering] >= -cfg.pivot_tolerance:
+            if reduced[entering] >= -tolerance:
                 return STATUS_OPTIMAL
         d = state.ftran(entering)
         blocking = np.flatnonzero(d > cfg.ratio_tolerance)
@@ -273,13 +255,13 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str
 def _cleanup_artificials(state: _SimplexState):
     """Pivot zero-level artificials out of the basis; drop redundant rows."""
     cfg = state.cfg
-    n = state.mat.n
+    n = state.n
     redundant: list[int] = []
     for pos in range(state.basis.size):
         cid = state.basis[pos]
         if cid < n:
             continue
-        tableau_row = state.mat.transpose_dot(state.binv[pos])
+        tableau_row = state.lp.transpose_dot(state.binv[pos])
         tableau_row[state.in_basis] = 0.0
         usable = np.flatnonzero(np.abs(tableau_row) > cfg.pivot_tolerance)
         if usable.size == 0:
@@ -296,20 +278,19 @@ def _cleanup_artificials(state: _SimplexState):
         state.pivots += 1
         state.updated_since_refactor = True
     if redundant:
-        keep_rows = np.ones(state.mat.m, dtype=bool)
+        keep_rows = np.ones(state.lp.constraint_count, dtype=bool)
         keep_slots = np.ones(state.basis.size, dtype=bool)
         for pos in redundant:
             keep_slots[pos] = False
             keep_rows[state.basis[pos] - n] = False
-        state.mat = state.mat.drop_rows(keep_rows)
-        state.b = state.b[keep_rows]
+        state.lp = state.lp.without_rows(keep_rows)
         state.basis = state.basis[keep_slots]
         state.refactor()
 
 
 def _partial_solution(lp: LinearProgram, state: _SimplexState, status: str) -> LpSolution:
-    x = np.zeros(state.mat.n)
-    keep = state.basis < state.mat.n
+    x = np.zeros(state.n)
+    keep = state.basis < state.n
     x[state.basis[keep]] = state.xb[keep]
     return LpSolution(x, float(lp.objective @ x), state.basis.copy(), status,
                       None, state.pivots)
@@ -328,9 +309,7 @@ def solve_lp(
     optimal basis therefore costs zero pivots.
     """
     cfg = config or LpConfig()
-    mat = _SparseColumns.from_program(lp)
-    m, n = mat.m, mat.n
-    b = lp.rhs.copy()
+    m, n = lp.constraint_count, lp.variable_count
     budget = cfg.max_pivots if cfg.max_pivots is not None else 50 * (n + m)
 
     state = None
@@ -339,7 +318,7 @@ def solve_lp(
         if basis.shape != (m,) or (basis < 0).any() or (basis >= n).any():
             raise ValueError("initial basis must name one structural column per row")
         try:
-            candidate = _SimplexState(mat, b, basis.copy(), cfg, budget)
+            candidate = _SimplexState(lp, basis.copy(), cfg, budget)
         except RuntimeError:
             candidate = None
         if candidate is not None and candidate.xb.min() >= -cfg.ratio_tolerance:
@@ -349,17 +328,17 @@ def solve_lp(
         basis = np.empty(m, dtype=np.int64)
         covered = np.zeros(m, dtype=bool)
         # crash: adopt singleton positive columns as ready-made slacks
-        width = np.diff(mat.colptr)
+        width = np.diff(lp.colptr)
         for j in np.flatnonzero(width == 1):
-            k = mat.colptr[j]
-            r, v = int(mat.rowidx[k]), float(mat.vals[k])
+            k = lp.colptr[j]
+            r, v = int(lp.rowidx[k]), float(lp.vals[k])
             if v > 0 and not covered[r]:
                 covered[r] = True
                 basis[r] = j
         for r in range(m):
             if not covered[r]:
                 basis[r] = n + r
-        state = _SimplexState(mat, b, basis, cfg, budget)
+        state = _SimplexState(lp, basis, cfg, budget)
         if (state.basis >= n).any():
             status = _run_simplex(state, np.zeros(n), art_cost=1.0)
             if status == STATUS_MAX_ITERATIONS:

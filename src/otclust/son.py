@@ -5,9 +5,14 @@ The target is
     min  sum_ij cost_ij plan_ij + (penalty / ||p0||_2) * sum_j ||plan[:, j]||_2
 
 over plans with row sums p0 and nonnegative entries. The sum of column
-norms divided by ||p0||_2 is the tightest convex lower bound on the number
-of occupied columns over the row-feasible set, so the penalty drives whole
-columns to zero without losing convexity.
+norms divided by ||p0||_2 is a convex lower bound on the number of occupied
+columns over the row-feasible set, so the penalty drives whole columns to
+zero without losing convexity. Per column it is the convex envelope of
+occupancy over the ball ||x_j||_2 <= ||p0||_2. It is not the tightest such
+bound: every feasible column also lies in the smaller box 0 <= x_j <= p0,
+whose envelope max_i x_ij / p0_i (the `lp` relaxation's opening level) is
+never smaller. At p0 = (1/2, 1/2) and plan diag(p0) this surrogate is
+sqrt(2), the box envelope and the column count both 2.
 
 Splitting: a primal copy handles the linear cost and the row constraints
 (row-wise projection onto scaled simplexes), a consensus copy handles the

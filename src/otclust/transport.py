@@ -43,15 +43,17 @@ def transport_program(
     n, m = cost.shape
     if p0.size != n or p1.size != m:
         raise ValueError("marginal sizes do not match the cost matrix")
-    rows: list[list[tuple[int, float]]] = []
-    rhs = []
-    for i in range(n):
-        rows.append([(i * m + j, 1.0) for j in range(m)])
-        rhs.append(p0.weights[i])
-    for j in range(m - 1):
-        rows.append([(i * m + j, 1.0) for i in range(n)])
-        rhs.append(p1.weights[j])
-    return LinearProgram(cost.entries.ravel(), tuple(rows), np.asarray(rhs), n * m)
+    # cell (i, j) is column i * m + j, in row i and, for j < m - 1, row n + j
+    width = np.full((n, m), 2, dtype=np.int64)
+    width[:, -1] = 1
+    rowidx = np.stack([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)], axis=1)
+    return LinearProgram(
+        cost.entries.ravel(),
+        np.concatenate([[0], np.cumsum(width)]),
+        rowidx[width.ravel()[:, None] > np.arange(2)],
+        np.ones(int(width.sum())),
+        np.concatenate([p0.weights, p1.weights[:-1]]),
+    )
 
 
 def solve_transport(

@@ -62,13 +62,15 @@ def enumerate_lp(c, A, b):
     return "optimal", best_x, best_val
 
 
-def lp_to_dense(lp):
-    """Densify a LinearProgram's sparse rows for oracle consumption."""
-    A = np.zeros((lp.constraint_count, lp.variable_count))
-    for r, row in enumerate(lp.rows):
-        for j, v in row:
-            A[r, j] += v
-    return A, np.asarray(lp.rhs, dtype=float)
+def program_from_rows(objective, rows, rhs):
+    """A LinearProgram from sparse rows of (column, coefficient) pairs."""
+    entries = [(j, r, v) for r, row in enumerate(rows) for j, v in row]
+    cols = np.array([j for j, _, _ in entries], dtype=np.int64)
+    rowidx = np.array([r for _, r, _ in entries], dtype=np.int64)
+    vals = np.array([v for _, _, v in entries], dtype=float)
+    order = np.argsort(cols, kind="stable")
+    colptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(objective)))])
+    return LinearProgram(objective, colptr, rowidx[order], vals[order], rhs)
 
 
 def facility_lp(cost, weights, penalty):
@@ -99,7 +101,7 @@ def facility_lp(cost, weights, penalty):
     objective = np.zeros(2 * n * n + 2 * n)
     objective[: n * n] = C.reshape(-1)
     objective[n * n : n * n + n] = penalty
-    return LinearProgram(objective, tuple(rows), rhs, objective.size)
+    return program_from_rows(objective, rows, rhs)
 
 
 def inner_cost(cost, p0, index, t, config=None):

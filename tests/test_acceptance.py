@@ -15,7 +15,6 @@ import pytest
 
 from otclust import (
     ExperimentSpec,
-    LinearProgram,
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
@@ -34,7 +33,12 @@ from otclust import (
 )
 from otclust.cli import main
 
-from oracles import enumerate_lp, inner_cost, projection_threshold_scan
+from oracles import (
+    enumerate_lp,
+    inner_cost,
+    program_from_rows,
+    projection_threshold_scan,
+)
 
 CRITERIA = {}
 
@@ -103,7 +107,7 @@ def test_criterion_2_lp_solver_matches_vertex_enumeration():
             rows = tuple(
                 [(j, float(A[r, j])) for j in range(n)] for r in range(m)
             )
-            lp = LinearProgram(c, rows, b, n)
+            lp = program_from_rows(c, rows, b)
             want_status, _, want_value = enumerate_lp(c, A, b)
             solution = solve_lp(lp)
             assert solution.status == want_status, f"trial {trial}"

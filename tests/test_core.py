@@ -148,6 +148,70 @@ class TestEnvelopeValue:
         assert envelope_value(plan) == pytest.approx(1.0, abs=1e-12)
 
 
+
+def box_envelope(entries, p0):
+    """Sum over columns of max_i entries_ij / p0_i: the lp surrogate, the
+    per-column convex envelope of occupancy over the box 0 <= x_j <= p0."""
+    positive = p0.weights > 0
+    return float((entries[positive] / p0.weights[positive, None]).max(axis=0).sum())
+
+
+class TestSurrogateOrder:
+    """son's column norms are the occupancy envelope over a ball that
+    contains the box 0 <= x_j <= p0, so they never exceed lp's box envelope,
+    which in turn never exceeds the occupied-column count."""
+
+    def test_son_below_lp_below_support_on_random_plans(self):
+        rng = np.random.default_rng(12)
+        for trial in range(500):
+            n = int(rng.integers(1, 8))
+            weights = rng.dirichlet(np.ones(n))
+            if n >= 3:
+                weights[rng.integers(0, n)] = 0.0
+                weights /= weights.sum()
+            p0 = ProbabilityVector(weights)
+            m = int(rng.integers(1, 8))
+            raw = rng.random((n, m)) * (rng.random((n, m)) < 0.5)
+            raw[np.arange(n), rng.integers(0, m, size=n)] += 0.1 + rng.random(n)
+            entries = raw / raw.sum(axis=1, keepdims=True) * p0.weights[:, None]
+            plan = TransportPlan(entries, p0)
+            son = envelope_value(plan)
+            lp = box_envelope(entries, p0)
+            support = support_cardinality(plan.column_sums(), 0.0)
+            assert son <= lp + 1e-9, f"trial {trial}"
+            assert lp <= support + 1e-9, f"trial {trial}"
+
+    def test_diagonal_counterexample_to_tightness(self):
+        # p0 = (1/2, 1/2), plan diag(p0): son sqrt(2) < lp 2 = support count
+        p0 = ProbabilityVector(np.array([0.5, 0.5]))
+        plan = TransportPlan(np.diag(p0.weights), p0)
+        assert envelope_value(plan) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert box_envelope(plan.entries, p0) == pytest.approx(2.0, rel=1e-12)
+        assert support_cardinality(plan.column_sums(), 0.0) == 2
+
+    def test_box_envelope_is_exact_per_column(self):
+        # f(x) = max_i x_i / p0_i is convex, zero at 0 and at most 1 on the
+        # box, so it is below the envelope of occupancy; x = f(x) z with z
+        # in the box on a cap face writes x as a convex combination of 0
+        # and a point of value 1, so the envelope is below f(x) too
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            cap = rng.dirichlet(np.ones(n))
+            x = cap * rng.random(n) * (rng.random(n) < 0.8)
+            level = lambda v: float((v / cap).max())
+            f = level(x)
+            assert 0.0 <= f <= 1.0
+            assert np.linalg.norm(x) / np.linalg.norm(cap) <= f + 1e-12
+            if f == 0.0:
+                continue
+            z = x / f
+            assert (z <= cap * (1 + 1e-12)).all() and np.isclose(level(z), 1.0)
+            w = cap * rng.random(n)
+            for t in rng.random(5):
+                mix = t * x + (1 - t) * w
+                assert level(mix) <= t * f + (1 - t) * level(w) + 1e-12
+
 class TestPointCloud:
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):

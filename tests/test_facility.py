@@ -10,7 +10,9 @@ from otclust import (
     extract_clusters,
     four_cluster_config,
     sample_gaussian_mixture,
+    ten_cluster_config,
 )
+from otclust import facility
 from otclust.facility import (
     FacilityResult,
     solve_facility_relaxation,
@@ -46,6 +48,14 @@ def best_integer_value(cost, p0, penalty):
     return float(best)
 
 
+def six_point_cloud():
+    points = np.array([
+        [0.822, 1.066], [2.662, -0.216], [-3.709, -1.459],
+        [0.419, -0.049], [-1.703, 3.339], [2.836, 1.154],
+    ])
+    return build_cost_matrix(PointCloud(points)), ProbabilityVector.uniform(6)
+
+
 def explicit_optimum(cost, p0, penalty):
     """Optimal value of the relaxation with every coupling row written out."""
     solution = solve_lp(facility_lp(cost.entries, p0.weights, penalty))
@@ -61,7 +71,7 @@ class TestBuildFacilityLp:
         lp = facility_lp(cost.entries, p0.weights, 1.0)
         # 9 plan vars + 3 openings + one slack per coupling and bound row
         assert lp.variable_count == 12 + 9 + 3
-        assert len(lp.rows) == 3 + 9 + 3
+        assert lp.constraint_count == 3 + 9 + 3
 
     def test_solving_built_program_matches_solver_wrapper(self):
         cost, p0 = random_instance(3, 4)
@@ -112,13 +122,12 @@ class TestSolveFacility:
             assert res.report.objective <= integer + 1e-9
 
     def test_cut_path_matches_direct_path(self):
-        # penalties stay <= 25: far above that the generic simplex can stall
-        # on the explicit program (zero-length pivots at penalty 1e7)
         instances = []
         for seed in range(6):
             rng = np.random.default_rng(60 + seed)
             cost, p0 = random_instance(60 + seed, 10, uniform=seed % 2 == 0)
             instances.append((cost, p0, float(rng.uniform(0.0, 25.0))))
+            instances.append((cost, p0, float(10.0 ** rng.uniform(1.5, 7.0))))
         for n in range(1, 13):
             # n >= 2 repeats the first point; n >= 3 gives one point no mass
             rng = np.random.default_rng(200 + n)
@@ -130,26 +139,35 @@ class TestSolveFacility:
             cost = build_cost_matrix(PointCloud(points))
             p0 = ProbabilityVector(weights / weights.sum())
             instances.append((cost, p0, float(rng.uniform(0.0, 25.0))))
+            instances.append((cost, p0, float(10.0 ** rng.uniform(1.5, 7.0))))
+        instances.append((*random_instance(66, 8), 1e7))
         for cost, p0, penalty in instances:
             cuts = _solve_by_cuts(cost, p0, penalty, None)
             assert cuts.report.objective == pytest.approx(
                 explicit_optimum(cost, p0, penalty), rel=1e-9, abs=1e-9
             )
 
+    def test_explicit_program_at_huge_penalty(self):
+        # reduced costs of the explicit program carry rounding of order
+        # 1e-16 * penalty; an absolute pricing tolerance cycled here
+        cost, p0 = six_point_cloud()
+        best_site = float((p0.weights @ cost.entries).min())
+        for penalty in (25.0, 1e3, 1e5, 1e7):
+            solution = solve_lp(facility_lp(cost.entries, p0.weights, penalty))
+            assert solution.status == "optimal"
+            assert solution.pivots < 200
+        assert solution.objective_value == pytest.approx(1e7 + best_site, rel=1e-12)
+
     def test_six_points_at_huge_penalty(self):
-        # the explicit program stalls here in the generic simplex; the cut
-        # path opens the single best site
-        points = np.array([
-            [0.822, 1.066], [2.662, -0.216], [-3.709, -1.459],
-            [0.419, -0.049], [-1.703, 3.339], [2.836, 1.154],
-        ])
-        cost = build_cost_matrix(PointCloud(points))
-        p0 = ProbabilityVector.uniform(6)
+        cost, p0 = six_point_cloud()
         res = solve_facility_relaxation(cost, p0, 1e7)
         assert res.report.status == "optimal"
         assert extract_clusters(res.plan).cluster_count == 1
         best_site = float((p0.weights @ cost.entries).min())
         assert res.report.objective == pytest.approx(1e7 + best_site, rel=1e-12)
+        assert res.report.objective == pytest.approx(
+            explicit_optimum(cost, p0, 1e7), rel=1e-12
+        )
 
     def test_cut_path_output_is_feasible(self):
         cost, p0 = random_instance(70, 20)
@@ -215,3 +233,107 @@ class TestSolveFacility:
         assert isinstance(res, FacilityResult)
         assert res.report.status == "optimal"
         assert res.report.iterations > 0
+
+
+class TestAgainstHighs:
+    """HiGHS solves the explicit program independently of the package's
+    simplex; the cut path must reach the same optimum."""
+
+    @pytest.mark.parametrize("size", [40, 80])
+    def test_matches_highs_on_explicit_program(self, size):
+        optimize = pytest.importorskip("scipy.optimize")
+        sparse = pytest.importorskip("scipy.sparse")
+        cloud = sample_gaussian_mixture(four_cluster_config(size // 4, seed=5))
+        cost = build_cost_matrix(cloud)
+        p0 = ProbabilityVector.uniform(size)
+        for penalty in (0.3, 3.0, 30.0):
+            lp = facility_lp(cost.entries, p0.weights, penalty)
+            matrix = sparse.csc_matrix(
+                (lp.vals, lp.rowidx, lp.colptr),
+                shape=(lp.constraint_count, lp.variable_count),
+            )
+            want = optimize.linprog(
+                lp.objective, A_eq=matrix, b_eq=lp.rhs, bounds=(0, None),
+                method="highs",
+            )
+            assert want.status == 0
+            got = solve_facility_relaxation(cost, p0, penalty).report.objective
+            assert got == pytest.approx(want.fun, rel=1e-9, abs=1e-9)
+
+
+def cold_masters(monkeypatch):
+    """Make every master solve start from the crash basis."""
+    warm = facility._solve_master_dual
+    monkeypatch.setattr(
+        facility, "_solve_master_dual",
+        lambda master, previous, config: warm(master, None, config),
+    )
+
+
+class TestWarmStartedMaster:
+    """Each master solve starts from the previous optimal basis once the
+    master has cuts; results must match cold solves."""
+
+    @staticmethod
+    def _instances():
+        for n in range(1, 13):
+            rng = np.random.default_rng(500 + n)
+            points = rng.normal(size=(n, 2)) * 3.0
+            if n >= 2:
+                points[-1] = points[0]
+            weights = rng.uniform(0.2, 1.0, size=n)
+            if n >= 3:
+                weights[rng.integers(0, n)] = 0.0
+            cost = build_cost_matrix(PointCloud(points))
+            p0 = ProbabilityVector(weights / weights.sum())
+            for penalty in (0.0, float(rng.uniform(0.1, 5.0)), float(rng.uniform(5.0, 60.0))):
+                yield cost, p0, penalty
+
+    def test_warm_matches_cold_on_small_instances(self, monkeypatch):
+        warm = [solve_facility_relaxation(*instance) for instance in self._instances()]
+        cold_masters(monkeypatch)
+        cold = [solve_facility_relaxation(*instance) for instance in self._instances()]
+        for w, c in zip(warm, cold):
+            assert w.report.objective == pytest.approx(
+                c.report.objective, rel=1e-9, abs=1e-9
+            )
+            assert w.report.status == c.report.status == "optimal"
+
+    @pytest.mark.parametrize(
+        "config, penalty, ceiling",
+        # cold masters take 2,765 and 162 pivots, warm ones 714 and 101;
+        # carrying the basis of the master without cuts takes 593 at 74
+        [(ten_cluster_config, 1.0, 1000), (four_cluster_config, 74.0, 200)],
+    )
+    def test_master_pivot_ceiling(self, config, penalty, ceiling):
+        cloud = sample_gaussian_mixture(config())
+        cost = build_cost_matrix(cloud)
+        p0 = ProbabilityVector.uniform(cloud.size)
+        res = solve_facility_relaxation(cost, p0, penalty)
+        assert res.report.status == "optimal"
+        assert res.report.iterations < ceiling
+
+    def test_warm_start_adopts_the_previous_basis(self, monkeypatch):
+        # every master after the first one with cuts starts from the last
+        # optimal basis, its ids remapped past the newly added cut columns
+        seen = []
+        solve = facility.solve_lp
+
+        def spy(lp, config=None, initial_basis=None):
+            solution = solve(lp, config, initial_basis=initial_basis)
+            seen.append((initial_basis, lp, solution))
+            return solution
+
+        monkeypatch.setattr(facility, "solve_lp", spy)
+        cloud = sample_gaussian_mixture(four_cluster_config())
+        res = solve_facility_relaxation(
+            build_cost_matrix(cloud), ProbabilityVector.uniform(cloud.size), 74.0
+        )
+        assert res.generation_rounds == len(seen) >= 3
+        assert seen[0][0] is None and seen[1][0] is None
+        for (_, before, previous), (initial, after, _) in zip(seen[1:], seen[2:]):
+            # the remapped basis names the same columns of the grown program
+            assert len(initial) == len(previous.basis)
+            for old, new in zip(previous.basis, initial):
+                assert np.array_equal(before.column(old), after.column(new))
+                assert before.objective[old] == after.objective[new]

@@ -3,7 +3,7 @@ import pytest
 
 from otclust import LinearProgram, LpConfig, solve_lp
 
-from oracles import enumerate_lp, lp_to_dense
+from oracles import enumerate_lp, program_from_rows
 
 
 def random_program(rng, n_vars=4, n_rows=2, feasible=True):
@@ -19,28 +19,28 @@ def random_program(rng, n_vars=4, n_rows=2, feasible=True):
     A = A * sign[:, None]
     b = b * sign
     rows = tuple([(j, float(A[r, j])) for j in range(n_vars)] for r in range(n_rows))
-    return LinearProgram(c, rows, b, n_vars), c, A, b
+    return program_from_rows(c, rows, b), c, A, b
 
 
 class TestStandardForm:
     def test_single_upper_bound(self):
         # max x subject to x + s = 1
-        lp = LinearProgram([-1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0], 2)
+        lp = program_from_rows([-1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.primal[0] == pytest.approx(1.0)
 
     def test_equality_pair(self):
         # min x subject to x + y = 1
-        lp = LinearProgram([1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0], 2)
+        lp = program_from_rows([1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0])
         sol = solve_lp(lp)
         assert sol.primal == pytest.approx([0.0, 1.0])
 
     def test_conflicting_rows_detected_in_phase1(self):
         # x - s = 2 and x + t = 1
-        lp = LinearProgram(
+        lp = program_from_rows(
             [0.0, 0.0, 0.0], ([(0, 1.0), (1, -1.0)], [(0, 1.0), (2, 1.0)]),
-            [2.0, 1.0], 3,
+            [2.0, 1.0],
         )
         assert solve_lp(lp).status == "infeasible"
 
@@ -48,15 +48,40 @@ class TestStandardForm:
 class TestProgramValidation:
     def test_negative_rhs_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0], ([(0, 1.0)],), [-1.0], 1)
+            program_from_rows([1.0], ([(0, 1.0)],), [-1.0])
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0, 1.0], ([(0, 0.0)],), [1.0], 2)
+            program_from_rows([1.0, 1.0], ([(0, 0.0)],), [1.0])
 
     def test_column_out_of_range(self):
         with pytest.raises(ValueError):
-            LinearProgram([1.0], ([(3, 1.0)],), [1.0], 1)
+            program_from_rows([1.0], ([(3, 1.0)],), [1.0])
+
+    def test_duplicate_entries_summed_and_sorted(self):
+        # column 0 lists row 1 twice and out of order
+        lp = LinearProgram(
+            [1.0, 1.0], [0, 3, 4], [1, 0, 1, 0], [2.0, 1.0, 0.5, 1.0], [1.0, 1.0]
+        )
+        assert lp.colptr.tolist() == [0, 2, 3]
+        assert lp.rowidx.tolist() == [0, 1, 0]
+        assert lp.vals.tolist() == [1.0, 2.5, 1.0]
+        assert lp.column(0).tolist() == [1.0, 2.5]
+
+    def test_malformed_arrays_rejected(self):
+        good = ([1.0, 1.0], [0, 1, 2], [0, 0], [1.0, 1.0], [1.0])
+        LinearProgram(*good)
+        for field, bad in (
+            (1, [0, 2, 1]),  # decreasing pointers
+            (1, [0, 1]),  # too few columns
+            (2, [0, 1]),  # row out of range
+            (3, [1.0, np.inf]),  # nonfinite coefficient
+            (0, [1.0, np.nan]),  # nonfinite cost
+        ):
+            args = list(good)
+            args[field] = bad
+            with pytest.raises(ValueError):
+                LinearProgram(*args)
 
 
 class TestSolveAgainstEnumeration:
@@ -86,7 +111,7 @@ class TestSolveAgainstEnumeration:
         rng = np.random.default_rng(7)
         for _ in range(20):
             lp, c, A, b = random_program(rng, 5, 2)
-            lp = LinearProgram(c, lp.rows, np.zeros(2), 5)
+            lp = program_from_rows(c, [list(zip(range(5), A[r])) for r in range(2)], np.zeros(2))
             want_status, _, want_val = enumerate_lp(c, A, np.zeros(2))
             sol = solve_lp(lp)
             assert sol.status == want_status
@@ -135,7 +160,7 @@ class TestRedundantRows:
     def test_duplicated_equality_dropped(self):
         # x + y = 1 stated twice; solver must shed the dependent row
         rows = ([(0, 1.0), (1, 1.0)], [(0, 1.0), (1, 1.0)])
-        lp = LinearProgram([1.0, 2.0], rows, [1.0, 1.0], 2)
+        lp = program_from_rows([1.0, 2.0], rows, [1.0, 1.0])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.primal == pytest.approx([1.0, 0.0])
