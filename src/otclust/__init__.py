@@ -9,7 +9,6 @@ from .core import (
     SolveReport,
     TransportPlan,
     build_cost_matrix,
-    envelope_value,
     support_cardinality,
     transport_cost,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SolveReport",
     "TransportPlan",
     "build_cost_matrix",
-    "envelope_value",
     "support_cardinality",
     "transport_cost",
     "LinearProgram",

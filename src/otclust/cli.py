@@ -180,6 +180,20 @@ def _cmd_omt(args) -> int:
     return 0
 
 
+def _iteration_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text):
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _add_solver_flags(parser, with_penalty):
     if with_penalty:
         parser.add_argument(
@@ -187,9 +201,9 @@ def _add_solver_flags(parser, with_penalty):
             help="sparsity penalty weight",
         )
     parser.add_argument("--tie-tol", type=float, default=1e-9)
-    parser.add_argument("--max-iterations", type=int, default=None)
-    parser.add_argument("--eps-abs", type=float, default=None)
-    parser.add_argument("--eps-rel", type=float, default=None)
+    parser.add_argument("--max-iterations", type=_iteration_count, default=None)
+    parser.add_argument("--eps-abs", type=_tolerance, default=None)
+    parser.add_argument("--eps-rel", type=_tolerance, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

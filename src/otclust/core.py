@@ -2,9 +2,7 @@
 
 Weighted point sets, probability vectors, squared-Euclidean cost matrices and
 transport plans, plus the small amount of shared arithmetic the solvers need:
-support counting under a threshold and the column-norm relaxation value
-sum_j ||plan[:, j]||_2 / ||p0||_2, which lower-bounds the number of occupied
-columns for any row-feasible plan.
+support counting under a threshold and the linear transport cost.
 
 All types validate on construction and freeze their arrays afterwards.
 """
@@ -226,23 +224,6 @@ def support_cardinality(values, threshold: float | None = None) -> int:
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     return int((np.abs(v) > threshold).sum())
-
-
-def envelope_value(plan: TransportPlan) -> float:
-    """Sum of column 2-norms of the plan divided by ||row target||_2.
-
-    This is the `son` surrogate. For any row-feasible plan it is at least 1
-    and never exceeds the number of nonzero columns, so it is a convex lower
-    bound on the support size of the column marginal. Each column norm is
-    bounded by ||row target||_2, which makes the per-column contribution at
-    most 1. It is not the tightest convex lower bound: the per-column box
-    envelope sum_j max_i plan_ij / target_i is never smaller (sqrt(2)
-    against 2 for the diagonal plan of (1/2, 1/2)).
-    """
-    scale = plan.row_target.norm2()
-    if scale == 0.0:
-        raise ValueError("row target has zero mass")
-    return float(np.linalg.norm(plan.entries, axis=0).sum() / scale)
 
 
 def transport_cost(cost: CostMatrix, entries: np.ndarray) -> float:

@@ -52,6 +52,20 @@ class AdmmConfig:
     adapt_rho_to_penalty: bool = True
     record_residuals: bool = False
 
+    def __post_init__(self):
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
+        if not (self.eps_abs >= 0 and self.eps_rel >= 0):
+            raise ValueError("eps_abs and eps_rel must be nonnegative")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not self.balancing_factor > 1:
+            raise ValueError("balancing_factor must exceed 1")
+        if not self.balancing_ratio >= 1:
+            raise ValueError("balancing_ratio must be >= 1")
+        if self.max_balancing_steps < 0:
+            raise ValueError("max_balancing_steps must be nonnegative")
+
 
 @dataclass(frozen=True)
 class SonResult:
@@ -75,36 +89,49 @@ def project_scaled_simplex(values, radius: float) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("expected a 1-d vector")
+    if v.size == 0:
+        raise ValueError("cannot project an empty vector")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     return _project_rows(v[None, :], np.array([radius]))[0]
 
 
-def _project_rows(V: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Row-wise scaled-simplex projection; rows with radius 0 become 0."""
+def _project_rows(V, radii, out=None, scratch=None):
+    """Row-wise scaled-simplex projection; rows with radius 0 become 0.
+
+    out receives the projection. scratch is a (float, bool) pair of arrays
+    shaped like V for the running sums and the threshold test. Both are
+    allocated when not given, so a caller that projects repeatedly passes
+    them and allocates no n x m array per call. Neither may overlap V.
+    """
     n, m = V.shape
-    out = np.zeros_like(V)
-    active = radii > 0
-    if not active.any():
-        return out
-    W = V[active]
-    r = radii[active]
-    s = -np.sort(-W, axis=1)
-    css = np.cumsum(s, axis=1)
-    k = np.arange(1, m + 1)
-    positive = s - (css - r[:, None]) / k > 0
+    if out is None:
+        out = np.empty_like(V)
+    sums, positive = scratch or (np.empty_like(V), np.empty(V.shape, dtype=bool))
+    # rows sorted descending, in out
+    np.negative(V, out=out)
+    out.sort(axis=1)
+    np.negative(out, out=out)
+    np.cumsum(out, axis=1, out=sums)
+    # sums becomes the shift (css_k - r) / k of every candidate k
+    sums -= radii[:, None]
+    sums /= np.arange(1, m + 1)
+    np.subtract(out, sums, out=out)
+    np.greater(out, 0, out=positive)
     kstar = m - 1 - np.argmax(positive[:, ::-1], axis=1)
-    rows = np.arange(W.shape[0])
-    theta = (css[rows, kstar] - r) / (kstar + 1)
-    out[active] = np.maximum(W - theta[:, None], 0.0)
+    theta = sums[np.arange(n), kstar]
+    np.subtract(V, theta[:, None], out=out)
+    np.maximum(out, 0.0, out=out)
+    out[radii <= 0] = 0.0
     return out
 
 
-def group_shrink(values, threshold: float) -> np.ndarray:
+def group_shrink(values, threshold: float, out=None) -> np.ndarray:
     """Column-wise soft threshold of the Euclidean norm.
 
     Each column v becomes max(0, 1 - threshold / ||v||_2) * v; a 1-d input is
-    treated as a single column.
+    treated as a single column. out, if given, receives the result and must
+    not overlap values.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -112,10 +139,16 @@ def group_shrink(values, threshold: float) -> np.ndarray:
     squeeze = V.ndim == 1
     if squeeze:
         V = V[:, None]
-    norms = np.linalg.norm(V, axis=0)
+        out = None if out is None else out[:, None]
+    if out is None:
+        out = np.empty_like(V)
+    # the column norms exactly as np.linalg.norm(V, axis=0) computes them,
+    # with out holding the squares
+    np.multiply(V, V, out=out)
+    norms = np.sqrt(np.add.reduce(out, axis=0))
     ratio = np.zeros_like(norms)
     np.divide(threshold, norms, out=ratio, where=norms > 0)
-    out = V * np.maximum(0.0, 1.0 - ratio)[None, :]
+    np.multiply(V, np.maximum(0.0, 1.0 - ratio)[None, :], out=out)
     return out[:, 0] if squeeze else out
 
 
@@ -160,11 +193,17 @@ def solve_son(
 
     p0_norm = p0.norm2()
     kappa = penalty / p0_norm
-    C = cost.entries
     rho = _initial_rho(cfg, kappa, p0_norm)
+    # Every iterate lives in a buffer allocated here, once per solve; each
+    # step writes the same floating-point operations, in the same order, as
+    # the textbook update noted beside it.
+    scaled_cost = cost.entries / rho
     plan = np.diag(p0.weights).astype(float)
     consensus = plan.copy()
+    previous = np.empty_like(plan)
     dual = np.zeros_like(plan)
+    work = np.empty_like(plan)
+    scratch = (np.empty_like(plan), np.empty(plan.shape, dtype=bool))
 
     history = [] if cfg.record_residuals else None
     balancing_steps = 0
@@ -174,13 +213,22 @@ def solve_son(
     converged = False
 
     for iterations in range(1, cfg.max_iterations + 1):
-        plan = _project_rows(consensus - dual - C / rho, p0.weights)
-        previous = consensus
-        consensus = group_shrink(plan + dual, kappa / rho)
-        dual = dual + plan - consensus
+        # plan = project(consensus - dual - cost / rho)
+        np.subtract(consensus, dual, out=work)
+        work -= scaled_cost
+        _project_rows(work, p0.weights, out=plan, scratch=scratch)
+        # consensus = shrink(plan + dual), keeping the old one as previous
+        previous, consensus = consensus, previous
+        np.add(plan, dual, out=work)
+        group_shrink(work, kappa / rho, out=consensus)
+        # dual = dual + plan - consensus
+        dual += plan
+        dual -= consensus
 
-        primal_res = float(np.linalg.norm(plan - consensus))
-        dual_res = float(rho * np.linalg.norm(consensus - previous))
+        np.subtract(plan, consensus, out=work)
+        primal_res = float(np.linalg.norm(work))
+        np.subtract(consensus, previous, out=work)
+        dual_res = float(rho * np.linalg.norm(work))
         if history is not None:
             history.append((primal_res, dual_res))
         eps_pri = cfg.eps_abs * n + cfg.eps_rel * max(
@@ -196,10 +244,12 @@ def solve_son(
                 rho *= cfg.balancing_factor
                 dual /= cfg.balancing_factor
                 balancing_steps += 1
+                np.divide(cost.entries, rho, out=scaled_cost)
             elif dual_res > cfg.balancing_ratio * primal_res:
                 rho /= cfg.balancing_factor
                 dual *= cfg.balancing_factor
                 balancing_steps += 1
+                np.divide(cost.entries, rho, out=scaled_cost)
 
     feasible = TransportPlan(plan, p0)
     objective = transport_cost(cost, feasible.entries) + kappa * float(

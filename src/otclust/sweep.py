@@ -61,6 +61,7 @@ class ExperimentSpec:
             raise ValueError("penalty grid values must be finite and nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        _admm_config(self)  # rejects bad solver settings before any solve
         object.__setattr__(self, "lambda_grid", grid)
 
 

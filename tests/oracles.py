@@ -5,7 +5,9 @@ are settled by enumerating basic solutions, transport instances by scanning
 permutations, projections by scanning thresholds. The facility relaxation
 and linf's pinned-column transport program are written out in full for the
 generic simplex, as LP references for the cutting-plane and closed-form
-solvers.
+solvers. `son_reference` is the ADMM loop for `son` written with a fresh
+array per operation, the bit-for-bit reference for the solver's in-place
+loop.
 """
 
 import itertools
@@ -13,8 +15,16 @@ import math
 
 import numpy as np
 
+from otclust.core import (
+    STATUS_MAX_ITERATIONS,
+    STATUS_OPTIMAL,
+    SolveReport,
+    TransportPlan,
+    transport_cost,
+)
 from otclust.linf import _ColumnProgram
 from otclust.lp import LinearProgram
+from otclust.son import AdmmConfig, SonResult, _initial_rho
 
 BFS_TOL = 1e-9
 
@@ -164,3 +174,116 @@ def simplex_grid(total, dims, steps):
     """All points with coordinates total * k_i / steps, k_i ints, sum = total."""
     for comp in _compositions(steps, dims):
         yield tuple(total * k / steps for k in comp)
+
+
+def son_surrogate(entries, weights):
+    """The `son` surrogate sum_j ||entries[:, j]||_2 / ||weights||_2.
+
+    For a plan with row sums `weights` it lies between 1 and the number of
+    nonzero columns. Each column contributes at most 1, since its norm is
+    bounded by ||weights||_2. The box envelope sum_j max_i entries_ij /
+    weights_i (the `lp` surrogate) is never smaller: sqrt(2) against 2 for
+    the diagonal plan of (1/2, 1/2).
+    """
+    scale = float(np.linalg.norm(weights))
+    if scale == 0.0:
+        raise ValueError("row target has zero mass")
+    return float(np.linalg.norm(entries, axis=0).sum() / scale)
+
+
+def reference_project_rows(V, radii):
+    n, m = V.shape
+    out = np.zeros_like(V)
+    active = radii > 0
+    if not active.any():
+        return out
+    W = V[active]
+    r = radii[active]
+    s = -np.sort(-W, axis=1)
+    css = np.cumsum(s, axis=1)
+    k = np.arange(1, m + 1)
+    positive = s - (css - r[:, None]) / k > 0
+    kstar = m - 1 - np.argmax(positive[:, ::-1], axis=1)
+    rows = np.arange(W.shape[0])
+    theta = (css[rows, kstar] - r) / (kstar + 1)
+    out[active] = np.maximum(W - theta[:, None], 0.0)
+    return out
+
+
+def _reference_group_shrink(V, threshold):
+    norms = np.linalg.norm(V, axis=0)
+    ratio = np.zeros_like(norms)
+    np.divide(threshold, norms, out=ratio, where=norms > 0)
+    return V * np.maximum(0.0, 1.0 - ratio)[None, :]
+
+
+def son_reference(cost, p0, penalty, config=None):
+    """The `son` ADMM loop with a fresh array for every intermediate.
+
+    Same operations in the same order as `otclust.son.solve_son`, so both
+    must return bit-identical plans, auxiliaries, reports and residual
+    histories.
+    """
+    cfg = config or AdmmConfig()
+    n = cost.shape[0]
+    p0_norm = p0.norm2()
+    kappa = penalty / p0_norm
+    C = cost.entries
+    rho = _initial_rho(cfg, kappa, p0_norm)
+    plan = np.diag(p0.weights).astype(float)
+    consensus = plan.copy()
+    dual = np.zeros_like(plan)
+
+    history = [] if cfg.record_residuals else None
+    balancing_steps = 0
+    iterations = 0
+    primal_res = np.inf
+    dual_res = np.inf
+    converged = False
+
+    for iterations in range(1, cfg.max_iterations + 1):
+        plan = reference_project_rows(consensus - dual - C / rho, p0.weights)
+        previous = consensus
+        consensus = _reference_group_shrink(plan + dual, kappa / rho)
+        dual = dual + plan - consensus
+
+        primal_res = float(np.linalg.norm(plan - consensus))
+        dual_res = float(rho * np.linalg.norm(consensus - previous))
+        if history is not None:
+            history.append((primal_res, dual_res))
+        eps_pri = cfg.eps_abs * n + cfg.eps_rel * max(
+            float(np.linalg.norm(plan)), float(np.linalg.norm(consensus))
+        )
+        eps_dual = cfg.eps_abs * n + cfg.eps_rel * rho * float(np.linalg.norm(dual))
+        if primal_res <= eps_pri and dual_res <= eps_dual:
+            converged = True
+            break
+
+        if cfg.residual_balancing and balancing_steps < cfg.max_balancing_steps:
+            if primal_res > cfg.balancing_ratio * dual_res:
+                rho *= cfg.balancing_factor
+                dual /= cfg.balancing_factor
+                balancing_steps += 1
+            elif dual_res > cfg.balancing_ratio * primal_res:
+                rho /= cfg.balancing_factor
+                dual *= cfg.balancing_factor
+                balancing_steps += 1
+
+    feasible = TransportPlan(plan, p0)
+    objective = transport_cost(cost, feasible.entries) + kappa * float(
+        np.linalg.norm(feasible.entries, axis=0).sum()
+    )
+    report = SolveReport(
+        objective=objective,
+        iterations=iterations,
+        status=STATUS_OPTIMAL if converged else STATUS_MAX_ITERATIONS,
+        primal_residual=primal_res,
+        dual_residual=dual_res,
+    )
+    return SonResult(
+        plan=feasible,
+        auxiliary=consensus,
+        penalty=float(penalty),
+        report=report,
+        residual_history=np.asarray(history) if history is not None else None,
+    )

@@ -18,7 +18,6 @@ from otclust import (
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
-    envelope_value,
     extract_clusters,
     four_cluster_config,
     project_scaled_simplex,
@@ -38,6 +37,7 @@ from oracles import (
     inner_cost,
     program_from_rows,
     projection_threshold_scan,
+    son_surrogate,
 )
 
 CRITERIA = {}
@@ -193,7 +193,7 @@ def test_criterion_5_envelope_invariants_never_violated():
             column_norms = np.linalg.norm(entries, axis=0)
             if column_norms.max() > norm + 1e-9:
                 violations += 1
-            envelope = float(column_norms.sum()) / norm
+            envelope = son_surrogate(entries, weights)
             card = support_cardinality(entries.sum(axis=0), 0.0)
             if envelope > card + 1e-9:
                 violations += 1

@@ -8,18 +8,26 @@ from otclust import (
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
-    envelope_value,
+    four_cluster_config,
+    sample_gaussian_mixture,
     support_cardinality,
+    ten_cluster_config,
     transport_cost,
 )
 from otclust.son import (
     AdmmConfig,
+    _project_rows,
     group_shrink,
     project_scaled_simplex,
     solve_son,
 )
 
-from oracles import projection_threshold_scan
+from oracles import (
+    projection_threshold_scan,
+    reference_project_rows,
+    son_reference,
+    son_surrogate,
+)
 
 
 def lowest_argmax(row, tol=1e-9):
@@ -62,6 +70,23 @@ class TestProjection:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
             project_scaled_simplex(np.ones((2, 2)), 1.0)
+
+    def test_rejects_empty_vector(self):
+        with pytest.raises(ValueError, match="empty"):
+            project_scaled_simplex(np.array([]), 1.0)
+
+    def test_rows_match_reference_with_and_without_buffers(self):
+        # zero radii and ties included; reused buffers must not carry over
+        rng = np.random.default_rng(4)
+        out = np.empty((6, 5))
+        scratch = (np.empty((6, 5)), np.empty((6, 5), dtype=bool))
+        for _ in range(20):
+            V = rng.normal(size=(6, 5)).round(1)
+            radii = rng.uniform(0.0, 2.0, size=6) * (rng.random(6) < 0.7)
+            want = reference_project_rows(V, radii)
+            assert np.array_equal(_project_rows(V, radii), want)
+            assert _project_rows(V, radii, out=out, scratch=scratch) is out
+            assert np.array_equal(out, want)
 
     def test_feasibility_random(self):
         rng = np.random.default_rng(0)
@@ -153,6 +178,17 @@ class TestGroupShrink:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             group_shrink(np.ones(2), -1.0)
+
+    def test_into_buffer_matches_fresh_result(self):
+        rng = np.random.default_rng(5)
+        V = rng.normal(size=(4, 6))
+        V[:, 2] = 0.0
+        out = np.full((4, 6), np.nan)
+        assert group_shrink(V, 0.7, out=out) is out
+        assert np.array_equal(out, group_shrink(V, 0.7))
+        column = np.empty(4)
+        group_shrink(V[:, 0], 0.7, out=column)
+        assert np.array_equal(column, out[:, 0])
 
     def test_minimizes_proximal_objective(self):
         # shrink output must beat random perturbations on
@@ -261,7 +297,7 @@ class TestSolveSon:
             entries = res.plan.entries
             assert entries.min() >= 0.0
             assert np.abs(entries.sum(axis=1) - p0.weights).max() <= 1e-8
-            env = envelope_value(res.plan)
+            env = son_surrogate(res.plan.entries, p0.weights)
             card = support_cardinality(np.linalg.norm(entries, axis=0))
             assert 1.0 - 1e-9 <= env <= card + 1e-9
             assert np.linalg.norm(entries, axis=0).max() <= p0.norm2() + 1e-9
@@ -332,3 +368,111 @@ class TestSolveSon:
         a = solve_son(cost, p0, 0.5, AdmmConfig(adapt_rho_to_penalty=True))
         b = solve_son(cost, p0, 0.5, AdmmConfig(adapt_rho_to_penalty=False))
         assert a.report.objective == pytest.approx(b.report.objective, rel=1e-6)
+
+
+class TestAdmmConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho", 0.0),
+            ("rho", -1.0),
+            ("eps_abs", -1.0),
+            ("eps_rel", -1e-4),
+            ("max_iterations", 0),
+            ("balancing_factor", 0.0),
+            ("balancing_factor", 1.0),
+            ("balancing_ratio", 0.5),
+            ("max_balancing_steps", -1),
+        ],
+    )
+    def test_rejects_settings_that_break_the_solver(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdmmConfig(**{field: value})
+
+    def test_accepts_boundary_settings(self):
+        cfg = AdmmConfig(
+            eps_abs=0.0, eps_rel=0.0, max_iterations=1, balancing_ratio=1.0,
+            max_balancing_steps=0,
+        )
+        cost = build_cost_matrix(PointCloud(np.arange(6.0).reshape(3, 2)))
+        res = solve_son(cost, ProbabilityVector.uniform(3), 1.0, cfg)
+        assert res.report.iterations == 1
+
+
+def balancing_steps(history, cfg):
+    """rho changes the solver made, read off its residual history: every
+    iteration but the last whose residuals drift more than balancing_ratio
+    apart, up to max_balancing_steps."""
+    primal, dual = history[:-1, 0], history[:-1, 1]
+    drifted = (primal > cfg.balancing_ratio * dual) | (dual > cfg.balancing_ratio * primal)
+    return min(int(drifted.sum()), cfg.max_balancing_steps)
+
+
+class TestInPlaceLoopMatchesReference:
+    """solve_son runs its ADMM loop in buffers allocated once per solve;
+    tests/oracles.py `son_reference` runs the same operations with a fresh
+    array for every intermediate. Every iterate must agree to the bit."""
+
+    def assert_identical(self, cost, p0, penalty, cfg=None):
+        got = solve_son(cost, p0, penalty, cfg)
+        want = son_reference(cost, p0, penalty, cfg)
+        assert np.array_equal(got.plan.entries, want.plan.entries)
+        assert np.array_equal(got.auxiliary, want.auxiliary)
+        assert got.report == want.report
+        assert got.penalty == want.penalty
+        if want.residual_history is None:
+            assert got.residual_history is None
+        else:
+            assert np.array_equal(got.residual_history, want.residual_history)
+        return got
+
+    @pytest.mark.parametrize("make_config", [four_cluster_config, ten_cluster_config])
+    def test_builtin_clouds_across_penalty_regimes(self, make_config):
+        cloud = sample_gaussian_mixture(make_config())
+        cost = build_cost_matrix(cloud)
+        p0 = ProbabilityVector.uniform(cloud.size)
+        cfg = AdmmConfig(record_residuals=True)
+        balanced = 0
+        for penalty in (0.05, 1.0, 8.8, 228.0, 2000.0):
+            res = self.assert_identical(cost, p0, penalty, cfg)
+            assert res.report.status == "optimal"
+            balanced += balancing_steps(res.residual_history, cfg) > 0
+        assert balanced > 0
+
+    def test_128_point_cloud(self):
+        cloud = sample_gaussian_mixture(four_cluster_config(samples_per_component=32))
+        cost = build_cost_matrix(cloud)
+        p0 = ProbabilityVector.uniform(cloud.size)
+        self.assert_identical(cost, p0, 2.0, AdmmConfig(max_iterations=300))
+
+    def test_random_clouds_with_duplicates_and_zero_weights(self):
+        rng = np.random.default_rng(77)
+        for trial in range(40):
+            n = int(rng.integers(1, 25))
+            points = rng.normal(size=(n, 2)) * 3
+            if n >= 4:
+                points[rng.integers(0, n, size=2)] = points[0]
+            weights = rng.random(n)
+            if n >= 3:
+                weights[rng.integers(0, n)] = 0.0
+            p0 = ProbabilityVector(weights / weights.sum())
+            cost = build_cost_matrix(PointCloud(points))
+            penalty = float(10 ** rng.uniform(-2, 3.5))
+            cfg = AdmmConfig(
+                max_iterations=int(rng.integers(5, 1500)),
+                adapt_rho_to_penalty=bool(trial % 3),
+                record_residuals=bool(trial % 2),
+            )
+            self.assert_identical(cost, p0, penalty, cfg)
+
+    def test_iteration_cutoffs_and_fixed_rho(self):
+        cloud = sample_gaussian_mixture(ten_cluster_config(samples_per_component=3))
+        cost = build_cost_matrix(cloud)
+        p0 = ProbabilityVector.uniform(cloud.size)
+        for cutoff in (1, 2, 5, 37, 400):
+            for adapt in (True, False):
+                cfg = AdmmConfig(
+                    max_iterations=cutoff, adapt_rho_to_penalty=adapt, record_residuals=True
+                )
+                res = self.assert_identical(cost, p0, 500.0, cfg)
+                assert res.report.iterations <= cutoff

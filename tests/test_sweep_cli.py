@@ -48,6 +48,21 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="jobs"):
             ExperimentSpec(dataset="x.csv", method="son", lambda_grid=(1.0,), jobs=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iterations", 0), ("max_iterations", -3), ("eps_abs", -1.0), ("eps_rel", -1e-4)],
+    )
+    def test_rejects_bad_solver_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(dataset="x.csv", method="son", lambda_grid=(1.0,), **{field: value})
+
+    def test_accepts_boundary_solver_settings(self):
+        spec = ExperimentSpec(
+            dataset="x.csv", method="son", lambda_grid=(1.0,),
+            max_iterations=1, eps_abs=0.0, eps_rel=0.0,
+        )
+        assert spec.max_iterations == 1
+
 
 class TestRunSweep:
     def test_builtin_four_cluster_counts_reach_one(self):
@@ -205,6 +220,28 @@ class TestCli:
             )
         with pytest.raises(SystemExit):
             main(["sweep", "--method", "lp", "--lambdas", "1"])
+
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-iterations", "0"),
+            ("--max-iterations", "-1"),
+            ("--max-iterations", "ten"),
+            ("--eps-abs", "-1"),
+            ("--eps-rel", "-1e-4"),
+            ("--eps-rel", "nan"),
+        ],
+    )
+    def test_solver_flags_rejected_as_usage_errors(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        csv_path = str(planted_csv(tmp_path))
+        grid = ["--lambda", "2.0"] if command == "cluster" else ["--lambdas", "2.0"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--points", csv_path, "--method", "son", *grid, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_sweep_writes_report(self, tmp_path):
         csv_path = planted_csv(tmp_path)
