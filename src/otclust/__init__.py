@@ -20,7 +20,7 @@ from .datagen import (
 )
 from .facility import FacilityResult, solve_facility_relaxation
 from .linf import LinfResult, solve_linf
-from .lp import LinearProgram, LpConfig, LpSolution, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
 from .pointio import read_points, write_points
 from .son import (
     AdmmConfig,
@@ -43,7 +43,6 @@ __all__ = [
     "support_cardinality",
     "transport_cost",
     "LinearProgram",
-    "LpConfig",
     "LpSolution",
     "solve_lp",
     "TransportResult",

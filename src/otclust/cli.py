@@ -180,7 +180,7 @@ def _cmd_omt(args) -> int:
     return 0
 
 
-def _iteration_count(text):
+def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -189,8 +189,8 @@ def _iteration_count(text):
 
 def _tolerance(text):
     value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -200,8 +200,8 @@ def _add_solver_flags(parser, with_penalty):
             "--lambda", dest="penalty", type=float, required=True,
             help="sparsity penalty weight",
         )
-    parser.add_argument("--tie-tol", type=float, default=1e-9)
-    parser.add_argument("--max-iterations", type=_iteration_count, default=None)
+    parser.add_argument("--tie-tol", type=_tolerance, default=1e-9)
+    parser.add_argument("--max-iterations", type=_positive_int, default=None)
     parser.add_argument("--eps-abs", type=_tolerance, default=None)
     parser.add_argument("--eps-rel", type=_tolerance, default=None)
 
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambdas", default=None, help="comma-separated penalty values")
     sweep.add_argument("--log-grid", default=None, help="MIN,MAX,COUNT geometric grid")
     sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=_positive_int, default=1)
     _add_solver_flags(sweep, with_penalty=False)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(handler=_cmd_sweep)

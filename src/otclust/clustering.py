@@ -50,23 +50,17 @@ def extract_clusters(plan: TransportPlan, tie_tol: float = 1e-9) -> ClusteringRe
     n, m = entries.shape
     if n != m:
         raise ValueError(f"clustering needs a square plan, got {n}x{m}")
-    if tie_tol < 0:
+    if not tie_tol >= 0:
         raise ValueError("tie tolerance must be nonnegative")
-    assignment = np.empty(n, dtype=int)
-    zero_rows = []
-    for i in range(n):
-        row = entries[i]
-        top = float(row.max())
-        if top <= 0.0:
-            assignment[i] = i
-            zero_rows.append(i)
-            continue
-        assignment[i] = int(np.flatnonzero(row >= top - tie_tol)[0])
+    top = entries.max(axis=1)
+    assignment = np.argmax(entries >= top[:, None] - tie_tol, axis=1)
+    zero_rows = np.flatnonzero(top <= 0.0)
+    assignment[zero_rows] = zero_rows
     return ClusteringResult(
         representatives=frozenset(int(j) for j in np.unique(assignment)),
         assignment=assignment,
         cluster_count=int(np.unique(assignment).size),
-        zero_mass_rows=tuple(zero_rows),
+        zero_mass_rows=tuple(int(i) for i in zero_rows),
     )
 
 

@@ -35,7 +35,7 @@ from .core import (
     SolveReport,
     TransportPlan,
 )
-from .lp import LinearProgram, LpConfig, solve_lp
+from .lp import LinearProgram, solve_lp
 
 _MAX_CUT_ROUNDS = 200
 _GAP_TOLERANCE = 1e-9
@@ -142,7 +142,6 @@ class _MasterColumns:
 def _solve_master_dual(
     master: _MasterColumns,
     previous: tuple[np.ndarray, int] | None,
-    config: LpConfig | None,
 ):
     """Solve the cutting-plane master through its dual.
 
@@ -159,7 +158,7 @@ def _solve_master_dual(
     if previous is not None and previous[1] > 0:
         basis, old_cuts = previous
         initial = np.where(basis < old_cuts, basis, basis + cuts - old_cuts)
-    solution = solve_lp(master.program(), config, initial_basis=initial)
+    solution = solve_lp(master.program(), initial_basis=initial)
     if solution.status != STATUS_OPTIMAL:
         raise RuntimeError(f"cut master ended with {solution.status}")
     primal = -solution.dual
@@ -169,7 +168,7 @@ def _solve_master_dual(
     return y, theta, bound, int(solution.pivots), (solution.basis, cuts)
 
 
-def _solve_by_cuts(cost, p0, penalty, config) -> FacilityResult:
+def _solve_by_cuts(cost, p0, penalty) -> FacilityResult:
     n = cost.shape[0]
     active = p0.weights > 0
     weights = p0.weights[active]
@@ -182,7 +181,7 @@ def _solve_by_cuts(cost, p0, penalty, config) -> FacilityResult:
     best_plan = None
     best_openings = None
     for round_index in range(1, _MAX_CUT_ROUNDS + 1):
-        y, theta, bound, pivots, basis = _solve_master_dual(master, basis, config)
+        y, theta, bound, pivots, basis = _solve_master_dual(master, basis)
         total_pivots += pivots
         values, fills, marginals, prices = filler.fill(y)
         true_value = penalty * float(y.sum()) + float(weights @ values)
@@ -222,7 +221,6 @@ def solve_facility_relaxation(
     cost: CostMatrix,
     p0: ProbabilityVector,
     penalty: float,
-    config: LpConfig | None = None,
 ) -> FacilityResult:
     """Solve the opening-penalized program exactly by cutting planes.
 
@@ -236,4 +234,4 @@ def solve_facility_relaxation(
         raise ValueError("marginal size does not match the cost matrix")
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
-    return _solve_by_cuts(cost, p0, penalty, config)
+    return _solve_by_cuts(cost, p0, penalty)

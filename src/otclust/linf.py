@@ -32,7 +32,7 @@ from .core import (
     SolveReport,
     TransportPlan,
 )
-from .lp import LinearProgram, LpConfig, solve_lp
+from .lp import LinearProgram, solve_lp
 
 _BOUNDARY_SLACK = 1e-12
 _CERTIFY_RTOL = 1e-9
@@ -144,7 +144,7 @@ class _ColumnProgram:
         basis[n] = extra
         return basis
 
-    def solve(self, t: float, config: LpConfig | None = None):
+    def solve(self, t: float):
         n = self.n
         # entry (j, k) is column j * n + k, in row j and, for k = index, row n
         width = np.ones((n, n), dtype=np.int64)
@@ -158,7 +158,7 @@ class _ColumnProgram:
             rhs=np.concatenate([self.weights, [t]]),
         )
         initial = self._starting_basis(t) if n > 1 else None
-        solution = solve_lp(lp, config, initial_basis=initial)
+        solution = solve_lp(lp, initial_basis=initial)
         if solution.status != STATUS_OPTIMAL:
             raise RuntimeError(
                 f"pinned-column program ended with {solution.status} at t={t}"
@@ -170,7 +170,6 @@ def solve_linf(
     cost: CostMatrix,
     p0: ProbabilityVector,
     penalty: float,
-    config: LpConfig | None = None,
 ) -> LinfResult:
     """Minimize transport cost plus penalty over the largest column mass.
 
@@ -203,7 +202,7 @@ def solve_linf(
     best_index = int(np.argmin(per_index))
     best_mass = float(masses[best_index])
     objective = float(per_index[best_index])
-    witness = _ColumnProgram(cost, p0, best_index).solve(best_mass, config)
+    witness = _ColumnProgram(cost, p0, best_index).solve(best_mass)
     certified = witness.objective_value + penalty / best_mass
     if abs(certified - objective) > _CERTIFY_RTOL * abs(objective):
         raise RuntimeError(

@@ -2,7 +2,7 @@
 
 Standard form is min c.x subject to A x = b, x >= 0 with b >= 0. The solver
 keeps an explicit basis inverse, updates it rank-1 per pivot, and rebuilds it
-from scratch every `refactor_every` pivots for numerical hygiene. Pricing is
+from scratch every _REFACTOR_EVERY pivots for numerical hygiene. Pricing is
 Dantzig (most negative reduced cost, lowest index on ties); after
 3 * constraint_count consecutive degenerate pivots it switches to Bland's
 rule until a nondegenerate step occurs, which guarantees termination.
@@ -28,6 +28,12 @@ from .core import (
 )
 
 _DEGENERATE_STEP = 1e-12
+_PIVOT_TOLERANCE = 1e-9
+_RATIO_TOLERANCE = 1e-9
+_PHASE1_TOLERANCE = 1e-7
+_REFACTOR_EVERY = 50
+# a solve may take this many pivots per variable and constraint
+_PIVOT_BUDGET_FACTOR = 50
 
 
 @dataclass(frozen=True)
@@ -119,15 +125,6 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class LpConfig:
-    pivot_tolerance: float = 1e-9
-    ratio_tolerance: float = 1e-9
-    phase1_tolerance: float = 1e-7
-    refactor_every: int = 50
-    max_pivots: int | None = None  # None means 50 * (variables + constraints)
-
-
-@dataclass(frozen=True)
 class LpSolution:
     primal: np.ndarray
     objective_value: float
@@ -140,10 +137,9 @@ class LpSolution:
 class _SimplexState:
     """Basis bookkeeping: ids >= n denote the artificial column e_(id - n)."""
 
-    def __init__(self, lp, basis, cfg, budget):
+    def __init__(self, lp, basis, budget):
         self.lp = lp
         self.basis = basis
-        self.cfg = cfg
         self.budget = budget
         self.pivots = 0
         self.n = lp.variable_count
@@ -201,7 +197,7 @@ class _SimplexState:
         self.replace(leave_pos, entering)
         self.pivots += 1
         self.updated_since_refactor = True
-        if self.pivots % self.cfg.refactor_every == 0:
+        if self.pivots % _REFACTOR_EVERY == 0:
             self.refactor()
         return theta
 
@@ -213,9 +209,8 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str
     (1.0 in phase 1; phase 2 never sees a basic artificial). Only structural
     columns are priced, so artificials cannot reenter.
     """
-    cfg = state.cfg
     # reduced costs carry rounding in proportion to the costs themselves
-    tolerance = cfg.pivot_tolerance * max(1.0, art_cost, float(np.abs(cost).max()))
+    tolerance = _PIVOT_TOLERANCE * max(1.0, art_cost, float(np.abs(cost).max()))
     bland_trigger = 3 * state.lp.constraint_count
     degenerate_run = 0
     use_bland = False
@@ -235,7 +230,7 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str
             if reduced[entering] >= -tolerance:
                 return STATUS_OPTIMAL
         d = state.ftran(entering)
-        blocking = np.flatnonzero(d > cfg.ratio_tolerance)
+        blocking = np.flatnonzero(d > _RATIO_TOLERANCE)
         if blocking.size == 0:
             return STATUS_UNBOUNDED
         ratios = np.maximum(state.xb[blocking], 0.0) / d[blocking]
@@ -254,7 +249,6 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str
 
 def _cleanup_artificials(state: _SimplexState):
     """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    cfg = state.cfg
     n = state.n
     redundant: list[int] = []
     for pos in range(state.basis.size):
@@ -263,7 +257,7 @@ def _cleanup_artificials(state: _SimplexState):
             continue
         tableau_row = state.lp.transpose_dot(state.binv[pos])
         tableau_row[state.in_basis] = 0.0
-        usable = np.flatnonzero(np.abs(tableau_row) > cfg.pivot_tolerance)
+        usable = np.flatnonzero(np.abs(tableau_row) > _PIVOT_TOLERANCE)
         if usable.size == 0:
             redundant.append(pos)
             continue
@@ -296,11 +290,7 @@ def _partial_solution(lp: LinearProgram, state: _SimplexState, status: str) -> L
                       None, state.pivots)
 
 
-def solve_lp(
-    lp: LinearProgram,
-    config: LpConfig | None = None,
-    initial_basis=None,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram, initial_basis=None) -> LpSolution:
     """Solve a standard-form program.
 
     An optional initial_basis (iterable of structural column ids, one per
@@ -308,9 +298,8 @@ def solve_lp(
     otherwise the solver falls back to a fresh phase 1. Resolving from an
     optimal basis therefore costs zero pivots.
     """
-    cfg = config or LpConfig()
     m, n = lp.constraint_count, lp.variable_count
-    budget = cfg.max_pivots if cfg.max_pivots is not None else 50 * (n + m)
+    budget = _PIVOT_BUDGET_FACTOR * (n + m)
 
     state = None
     if initial_basis is not None:
@@ -318,10 +307,10 @@ def solve_lp(
         if basis.shape != (m,) or (basis < 0).any() or (basis >= n).any():
             raise ValueError("initial basis must name one structural column per row")
         try:
-            candidate = _SimplexState(lp, basis.copy(), cfg, budget)
+            candidate = _SimplexState(lp, basis.copy(), budget)
         except RuntimeError:
             candidate = None
-        if candidate is not None and candidate.xb.min() >= -cfg.ratio_tolerance:
+        if candidate is not None and candidate.xb.min() >= -_RATIO_TOLERANCE:
             state = candidate
 
     if state is None:
@@ -338,13 +327,13 @@ def solve_lp(
         for r in range(m):
             if not covered[r]:
                 basis[r] = n + r
-        state = _SimplexState(lp, basis, cfg, budget)
+        state = _SimplexState(lp, basis, budget)
         if (state.basis >= n).any():
             status = _run_simplex(state, np.zeros(n), art_cost=1.0)
             if status == STATUS_MAX_ITERATIONS:
                 return _partial_solution(lp, state, STATUS_MAX_ITERATIONS)
             art_level = np.where(state.basis >= n, state.xb, 0.0)
-            if float(np.maximum(art_level, 0.0).sum()) > cfg.phase1_tolerance:
+            if float(np.maximum(art_level, 0.0).sum()) > _PHASE1_TOLERANCE:
                 return _partial_solution(lp, state, STATUS_INFEASIBLE)
             _cleanup_artificials(state)
 

@@ -41,42 +41,29 @@ from .core import (
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    rho: float = 1.0
     eps_abs: float = 1e-6
     eps_rel: float = 1e-4
     max_iterations: int = 10000
-    residual_balancing: bool = True
-    balancing_ratio: float = 10.0
-    balancing_factor: float = 2.0
-    max_balancing_steps: int = 10
-    adapt_rho_to_penalty: bool = True
-    record_residuals: bool = False
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
         if not (self.eps_abs >= 0 and self.eps_rel >= 0):
             raise ValueError("eps_abs and eps_rel must be nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.balancing_factor > 1:
-            raise ValueError("balancing_factor must exceed 1")
-        if not self.balancing_ratio >= 1:
-            raise ValueError("balancing_ratio must be >= 1")
-        if self.max_balancing_steps < 0:
-            raise ValueError("max_balancing_steps must be nonnegative")
 
 
 @dataclass(frozen=True)
 class SonResult:
     """plan is the row-feasible iterate; auxiliary the shrunken consensus
-    copy, whose exact zero columns indicate the support the penalty chose."""
+    copy, whose exact zero columns indicate the support the penalty chose.
+    residual_history holds the (primal, dual) residuals of every iteration,
+    which also tell where residual balancing changed rho."""
 
     plan: TransportPlan
     auxiliary: np.ndarray
     penalty: float
     report: SolveReport
-    residual_history: np.ndarray | None = None
+    residual_history: np.ndarray
 
 
 def project_scaled_simplex(values, radius: float) -> np.ndarray:
@@ -159,15 +146,20 @@ def group_shrink(values, threshold: float, out=None) -> np.ndarray:
 # that recovers the exact minimizer across penalty / cost ratios from 1e2 to
 # 1e6 while keeping iteration counts in the hundreds.
 _PENALTY_RHO_DIVISOR = 1e4
+_RHO_FLOOR = 1.0
+# Residual balancing: rho is multiplied or divided by _BALANCING_FACTOR when
+# one residual exceeds the other by more than _BALANCING_RATIO, at most
+# _MAX_BALANCING_STEPS times per solve.
+_BALANCING_RATIO = 10.0
+_BALANCING_FACTOR = 2.0
+_MAX_BALANCING_STEPS = 10
 
 
-def _initial_rho(cfg: AdmmConfig, kappa: float, p0_norm: float) -> float:
-    """Step weight start point: tracks the penalty scale, floored at cfg.rho,
-    so that huge penalties stay solvable; residual balancing does the fine
-    adjustment from there."""
-    if not cfg.adapt_rho_to_penalty:
-        return cfg.rho
-    return max(cfg.rho, kappa / (_PENALTY_RHO_DIVISOR * max(p0_norm, 1e-12)))
+def _initial_rho(kappa: float, p0_norm: float) -> float:
+    """Step weight start point: tracks the penalty scale, floored at
+    _RHO_FLOOR, so that huge penalties stay solvable; residual balancing
+    does the fine adjustment from there."""
+    return max(_RHO_FLOOR, kappa / (_PENALTY_RHO_DIVISOR * max(p0_norm, 1e-12)))
 
 
 def solve_son(
@@ -193,7 +185,7 @@ def solve_son(
 
     p0_norm = p0.norm2()
     kappa = penalty / p0_norm
-    rho = _initial_rho(cfg, kappa, p0_norm)
+    rho = _initial_rho(kappa, p0_norm)
     # Every iterate lives in a buffer allocated here, once per solve; each
     # step writes the same floating-point operations, in the same order, as
     # the textbook update noted beside it.
@@ -205,7 +197,7 @@ def solve_son(
     work = np.empty_like(plan)
     scratch = (np.empty_like(plan), np.empty(plan.shape, dtype=bool))
 
-    history = [] if cfg.record_residuals else None
+    history = []
     balancing_steps = 0
     iterations = 0
     primal_res = np.inf
@@ -229,8 +221,7 @@ def solve_son(
         primal_res = float(np.linalg.norm(work))
         np.subtract(consensus, previous, out=work)
         dual_res = float(rho * np.linalg.norm(work))
-        if history is not None:
-            history.append((primal_res, dual_res))
+        history.append((primal_res, dual_res))
         eps_pri = cfg.eps_abs * n + cfg.eps_rel * max(
             float(np.linalg.norm(plan)), float(np.linalg.norm(consensus))
         )
@@ -239,15 +230,15 @@ def solve_son(
             converged = True
             break
 
-        if cfg.residual_balancing and balancing_steps < cfg.max_balancing_steps:
-            if primal_res > cfg.balancing_ratio * dual_res:
-                rho *= cfg.balancing_factor
-                dual /= cfg.balancing_factor
+        if balancing_steps < _MAX_BALANCING_STEPS:
+            if primal_res > _BALANCING_RATIO * dual_res:
+                rho *= _BALANCING_FACTOR
+                dual /= _BALANCING_FACTOR
                 balancing_steps += 1
                 np.divide(cost.entries, rho, out=scaled_cost)
-            elif dual_res > cfg.balancing_ratio * primal_res:
-                rho /= cfg.balancing_factor
-                dual *= cfg.balancing_factor
+            elif dual_res > _BALANCING_RATIO * primal_res:
+                rho /= _BALANCING_FACTOR
+                dual *= _BALANCING_FACTOR
                 balancing_steps += 1
                 np.divide(cost.entries, rho, out=scaled_cost)
 
@@ -267,5 +258,5 @@ def solve_son(
         auxiliary=consensus,
         penalty=float(penalty),
         report=report,
-        residual_history=np.asarray(history) if history is not None else None,
+        residual_history=np.asarray(history),
     )

@@ -61,6 +61,8 @@ class ExperimentSpec:
             raise ValueError("penalty grid values must be finite and nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not (np.isfinite(self.tie_tol) and self.tie_tol >= 0):
+            raise ValueError("tie_tol must be finite and nonnegative")
         _admm_config(self)  # rejects bad solver settings before any solve
         object.__setattr__(self, "lambda_grid", grid)
 

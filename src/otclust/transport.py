@@ -22,7 +22,7 @@ from .core import (
     TransportPlan,
     build_cost_matrix,
 )
-from .lp import LinearProgram, LpConfig, solve_lp
+from .lp import LinearProgram, solve_lp
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ def solve_transport(
     cost: CostMatrix,
     p0: ProbabilityVector,
     p1: ProbabilityVector,
-    config: LpConfig | None = None,
 ) -> TransportResult:
     """Minimize sum_ij cost_ij plan_ij over couplings of p0 and p1.
 
@@ -70,7 +69,7 @@ def solve_transport(
     n, m = cost.shape
     lp = transport_program(cost, p0, p1)
     rows, cols, _ = _staircase(p0, p1)
-    sol = solve_lp(lp, config, initial_basis=rows * m + cols)
+    sol = solve_lp(lp, initial_basis=rows * m + cols)
     if sol.status != STATUS_OPTIMAL:
         raise RuntimeError(f"transport solve ended with status {sol.status!r}")
     plan = TransportPlan(sol.primal.reshape(n, m), p0, p1, tolerance=1e-8)

@@ -5,9 +5,11 @@ are settled by enumerating basic solutions, transport instances by scanning
 permutations, projections by scanning thresholds. The facility relaxation
 and linf's pinned-column transport program are written out in full for the
 generic simplex, as LP references for the cutting-plane and closed-form
-solvers. `son_reference` is the ADMM loop for `son` written with a fresh
-array per operation, the bit-for-bit reference for the solver's in-place
-loop.
+solvers, and `support_envelope` writes the envelope of the column count as
+a subset LP for it. `son_reference` is the ADMM loop for `son` written with
+a fresh array per operation, the bit-for-bit reference for the solver's
+in-place loop; `reference_row_assignment` is the clustering rule one row at
+a time.
 """
 
 import itertools
@@ -23,8 +25,15 @@ from otclust.core import (
     transport_cost,
 )
 from otclust.linf import _ColumnProgram
-from otclust.lp import LinearProgram
-from otclust.son import AdmmConfig, SonResult, _initial_rho
+from otclust.lp import LinearProgram, solve_lp
+from otclust.son import (
+    _BALANCING_FACTOR,
+    _BALANCING_RATIO,
+    _MAX_BALANCING_STEPS,
+    AdmmConfig,
+    SonResult,
+    _initial_rho,
+)
 
 BFS_TOL = 1e-9
 
@@ -114,7 +123,7 @@ def facility_lp(cost, weights, penalty):
     return program_from_rows(objective, rows, rhs)
 
 
-def inner_cost(cost, p0, index, t, config=None):
+def inner_cost(cost, p0, index, t):
     """Cheapest transport with row sums p0 and exactly mass t on one column,
     solved as an LP.
 
@@ -130,7 +139,7 @@ def inner_cost(cost, p0, index, t, config=None):
     if not 0.0 <= t <= 1.0:
         raise ValueError("pinned mass must lie in [0, 1]")
     program = _ColumnProgram(cost, p0, index)
-    return float(program.solve(t, config).objective_value)
+    return float(program.solve(t).objective_value)
 
 
 def permutation_transport_cost(cost):
@@ -191,6 +200,64 @@ def son_surrogate(entries, weights):
     return float(np.linalg.norm(entries, axis=0).sum() / scale)
 
 
+def support_envelope(plan, weights):
+    """The convex envelope of the occupied-column count over the plans with
+    row sums `weights`, evaluated at `plan`, by the subset LP.
+
+    Each nonempty column subset S gets a share lambda_S >= 0 and a block
+    Z_S >= 0 that is zero outside S and whose rows sum to lambda_S * weights;
+    the blocks add up to the plan, the shares to one, and the program
+    minimizes sum_S |S| lambda_S. A column count m gives 2^m - 1 subsets.
+    """
+    X = np.asarray(plan, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    n, m = X.shape
+    subsets = [
+        S for size in range(1, m + 1) for S in itertools.combinations(range(m), size)
+    ]
+    objective, share, block = [], [], {}
+    for k, S in enumerate(subsets):
+        share.append(len(objective))
+        objective.append(float(len(S)))
+        for i in range(n):
+            for j in S:
+                block[k, i, j] = len(objective)
+                objective.append(0.0)
+    rows = [
+        [(block[k, i, j], 1.0) for k, S in enumerate(subsets) if j in S]
+        for i in range(n)
+        for j in range(m)
+    ]
+    rows += [
+        [(block[k, i, j], 1.0) for j in S] + [(share[k], -w[i])]
+        for k, S in enumerate(subsets)
+        for i in range(n)
+    ]
+    rows.append([(share[k], 1.0) for k in range(len(subsets))])
+    rhs = np.concatenate([X.reshape(-1), np.zeros(len(subsets) * n), [1.0]])
+    solution = solve_lp(program_from_rows(objective, rows, rhs))
+    if solution.status != STATUS_OPTIMAL:
+        raise RuntimeError(f"subset LP ended with {solution.status}")
+    return solution.objective_value
+
+
+def reference_row_assignment(entries, tie_tol):
+    """The clustering rule one row at a time: (assignment, zero-mass rows).
+
+    A row with positive maximum goes to its lowest column within tie_tol of
+    that maximum; a row without mass goes to itself.
+    """
+    assignment, zero_rows = [], []
+    for i, row in enumerate(entries):
+        top = float(row.max())
+        if top <= 0.0:
+            assignment.append(i)
+            zero_rows.append(i)
+        else:
+            assignment.append(int(np.flatnonzero(row >= top - tie_tol)[0]))
+    return assignment, tuple(zero_rows)
+
+
 def reference_project_rows(V, radii):
     n, m = V.shape
     out = np.zeros_like(V)
@@ -229,12 +296,12 @@ def son_reference(cost, p0, penalty, config=None):
     p0_norm = p0.norm2()
     kappa = penalty / p0_norm
     C = cost.entries
-    rho = _initial_rho(cfg, kappa, p0_norm)
+    rho = _initial_rho(kappa, p0_norm)
     plan = np.diag(p0.weights).astype(float)
     consensus = plan.copy()
     dual = np.zeros_like(plan)
 
-    history = [] if cfg.record_residuals else None
+    history = []
     balancing_steps = 0
     iterations = 0
     primal_res = np.inf
@@ -249,8 +316,7 @@ def son_reference(cost, p0, penalty, config=None):
 
         primal_res = float(np.linalg.norm(plan - consensus))
         dual_res = float(rho * np.linalg.norm(consensus - previous))
-        if history is not None:
-            history.append((primal_res, dual_res))
+        history.append((primal_res, dual_res))
         eps_pri = cfg.eps_abs * n + cfg.eps_rel * max(
             float(np.linalg.norm(plan)), float(np.linalg.norm(consensus))
         )
@@ -259,14 +325,14 @@ def son_reference(cost, p0, penalty, config=None):
             converged = True
             break
 
-        if cfg.residual_balancing and balancing_steps < cfg.max_balancing_steps:
-            if primal_res > cfg.balancing_ratio * dual_res:
-                rho *= cfg.balancing_factor
-                dual /= cfg.balancing_factor
+        if balancing_steps < _MAX_BALANCING_STEPS:
+            if primal_res > _BALANCING_RATIO * dual_res:
+                rho *= _BALANCING_FACTOR
+                dual /= _BALANCING_FACTOR
                 balancing_steps += 1
-            elif dual_res > cfg.balancing_ratio * primal_res:
-                rho /= cfg.balancing_factor
-                dual *= cfg.balancing_factor
+            elif dual_res > _BALANCING_RATIO * primal_res:
+                rho /= _BALANCING_FACTOR
+                dual *= _BALANCING_FACTOR
                 balancing_steps += 1
 
     feasible = TransportPlan(plan, p0)
@@ -285,5 +351,5 @@ def son_reference(cost, p0, penalty, config=None):
         auxiliary=consensus,
         penalty=float(penalty),
         report=report,
-        residual_history=np.asarray(history) if history is not None else None,
+        residual_history=np.asarray(history),
     )

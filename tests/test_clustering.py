@@ -11,6 +11,8 @@ from otclust.clustering import ClusteringResult, adjusted_rand_index, extract_cl
 from otclust.core import TransportPlan
 from otclust.son import solve_son
 
+from oracles import reference_row_assignment
+
 
 def plan_from(entries, tolerance=1e-9):
     # global rescale to unit mass; preserves every row argmax
@@ -145,6 +147,28 @@ class TestExtractClusters:
             extract_clusters(plan_from(entries))
         with pytest.raises(ValueError):
             extract_clusters(plan_from(np.eye(2) / 2), tie_tol=-1.0)
+
+    def test_matches_row_by_row_rule(self):
+        # random plans with exact ties, near-ties and empty rows
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 9))
+            entries = rng.integers(0, 4, size=(n, n)) * 0.1
+            entries[rng.uniform(size=(n, n)) < 0.2] += 3e-10
+            entries[rng.uniform(size=n) < 0.2] = 0.0
+            if not entries.any():
+                entries[0, 0] = 1.0
+            plan = plan_from(entries)
+            for tol in (0.0, 1e-9, 0.15):
+                res = extract_clusters(plan, tie_tol=tol)
+                assignment, zero_rows = reference_row_assignment(plan.entries, tol)
+                assert list(res.assignment) == assignment
+                assert res.zero_mass_rows == zero_rows
+
+    def test_rejects_nan_tie_tol(self):
+        # every comparison with nan is false, so a sign test lets nan through
+        with pytest.raises(ValueError, match="tie tolerance"):
+            extract_clusters(plan_from(np.eye(2) / 2), tie_tol=float("nan"))
 
     def test_assignment_is_read_only(self):
         res = extract_clusters(plan_from(np.eye(3) / 3))

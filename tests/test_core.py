@@ -10,7 +10,7 @@ from otclust import (
     support_cardinality,
 )
 
-from oracles import son_surrogate
+from oracles import son_surrogate, support_envelope
 
 
 def random_row_feasible_plan(rng, p0, m=None):
@@ -182,12 +182,37 @@ class TestSurrogateOrder:
             assert son <= lp + 1e-9, f"trial {trial}"
             assert lp <= support + 1e-9, f"trial {trial}"
 
+    def test_lp_below_whole_polytope_envelope_on_random_plans(self):
+        # lp's box contains the row-feasible polytope, so its envelope is
+        # below the envelope over the polytope, which is below the count
+        rng = np.random.default_rng(14)
+        strict = 0
+        for trial in range(60):
+            n = 2 + trial % 3
+            weights = rng.dirichlet(np.ones(n))
+            if n >= 3 and trial % 2:
+                weights[rng.integers(0, n)] = 0.0
+                weights /= weights.sum()
+            p0 = ProbabilityVector(weights)
+            raw = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            raw[np.arange(n), rng.integers(0, n, size=n)] += 0.1 + rng.random(n)
+            entries = raw / raw.sum(axis=1, keepdims=True) * p0.weights[:, None]
+            plan = TransportPlan(entries, p0)
+            lp = box_envelope(plan.entries, p0)
+            envelope = support_envelope(plan.entries, p0.weights)
+            support = support_cardinality(plan.column_sums(), 0.0)
+            assert lp <= envelope + 1e-9, f"trial {trial}"
+            assert envelope <= support + 1e-9, f"trial {trial}"
+            strict += envelope > lp + 1e-6
+        assert strict > 0
+
     def test_diagonal_counterexample_to_tightness(self):
         # p0 = (1/2, 1/2), plan diag(p0): son sqrt(2) < lp 2 = support count
         p0 = ProbabilityVector(np.array([0.5, 0.5]))
         plan = TransportPlan(np.diag(p0.weights), p0)
         assert son_surrogate(plan.entries, p0.weights) == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert box_envelope(plan.entries, p0) == pytest.approx(2.0, rel=1e-12)
+        assert support_envelope(plan.entries, p0.weights) == pytest.approx(2.0, abs=1e-9)
         assert support_cardinality(plan.column_sums(), 0.0) == 2
 
     def test_box_envelope_is_exact_per_column(self):

@@ -142,7 +142,7 @@ class TestSolveFacility:
             instances.append((cost, p0, float(10.0 ** rng.uniform(1.5, 7.0))))
         instances.append((*random_instance(66, 8), 1e7))
         for cost, p0, penalty in instances:
-            cuts = _solve_by_cuts(cost, p0, penalty, None)
+            cuts = _solve_by_cuts(cost, p0, penalty)
             assert cuts.report.objective == pytest.approx(
                 explicit_optimum(cost, p0, penalty), rel=1e-9, abs=1e-9
             )
@@ -266,7 +266,7 @@ def cold_masters(monkeypatch):
     warm = facility._solve_master_dual
     monkeypatch.setattr(
         facility, "_solve_master_dual",
-        lambda master, previous, config: warm(master, None, config),
+        lambda master, previous: warm(master, None),
     )
 
 
@@ -319,8 +319,8 @@ class TestWarmStartedMaster:
         seen = []
         solve = facility.solve_lp
 
-        def spy(lp, config=None, initial_basis=None):
-            solution = solve(lp, config, initial_basis=initial_basis)
+        def spy(lp, initial_basis=None):
+            solution = solve(lp, initial_basis=initial_basis)
             seen.append((initial_basis, lp, solution))
             return solution
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from otclust import LinearProgram, LpConfig, solve_lp
+import otclust.lp
+from otclust import LinearProgram, solve_lp
 
 from oracles import enumerate_lp, program_from_rows
 
@@ -149,10 +150,11 @@ class TestSolutionCertificates:
             resolved += 1
         assert resolved > 0
 
-    def test_pivot_budget_reported(self):
+    def test_pivot_budget_reported(self, monkeypatch):
+        monkeypatch.setattr(otclust.lp, "_PIVOT_BUDGET_FACTOR", 0)
         rng = np.random.default_rng(3)
         lp, *_ = random_program(rng, 6, 3)
-        sol = solve_lp(lp, LpConfig(max_pivots=0))
+        sol = solve_lp(lp)
         assert sol.status == "max_iterations"
 
 

@@ -15,7 +15,11 @@ from otclust import (
     transport_cost,
 )
 from otclust.son import (
+    _BALANCING_RATIO,
+    _MAX_BALANCING_STEPS,
+    _RHO_FLOOR,
     AdmmConfig,
+    _initial_rho,
     _project_rows,
     group_shrink,
     project_scaled_simplex,
@@ -326,10 +330,9 @@ class TestSolveSon:
     def test_residual_history_trends_down(self):
         cost = self.make_instance(17, 10)
         p0 = ProbabilityVector.uniform(10)
-        cfg = AdmmConfig(record_residuals=True)
-        res = solve_son(cost, p0, 3.0, cfg)
+        res = solve_son(cost, p0, 3.0)
         hist = res.residual_history
-        assert hist is not None and hist.shape[1] == 2
+        assert hist.shape == (res.report.iterations, 2)
         primal = hist[:, 0]
         if primal.size >= 200:
             # windowed means may wobble but must not grow persistently
@@ -360,29 +363,14 @@ class TestSolveSon:
         with pytest.raises(ValueError):
             solve_son(rect, ProbabilityVector.uniform(2), 1.0)
 
-    def test_disabling_adaptive_rho_matches_default_on_moderate_penalty(self):
-        # for penalties at the cost scale the adaptive start point stays at
-        # the configured rho, so both paths solve the same problem
-        cost = self.make_instance(23, 5)
-        p0 = ProbabilityVector.uniform(5)
-        a = solve_son(cost, p0, 0.5, AdmmConfig(adapt_rho_to_penalty=True))
-        b = solve_son(cost, p0, 0.5, AdmmConfig(adapt_rho_to_penalty=False))
-        assert a.report.objective == pytest.approx(b.report.objective, rel=1e-6)
-
 
 class TestAdmmConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("rho", 0.0),
-            ("rho", -1.0),
             ("eps_abs", -1.0),
             ("eps_rel", -1e-4),
             ("max_iterations", 0),
-            ("balancing_factor", 0.0),
-            ("balancing_factor", 1.0),
-            ("balancing_ratio", 0.5),
-            ("max_balancing_steps", -1),
         ],
     )
     def test_rejects_settings_that_break_the_solver(self, field, value):
@@ -390,22 +378,19 @@ class TestAdmmConfig:
             AdmmConfig(**{field: value})
 
     def test_accepts_boundary_settings(self):
-        cfg = AdmmConfig(
-            eps_abs=0.0, eps_rel=0.0, max_iterations=1, balancing_ratio=1.0,
-            max_balancing_steps=0,
-        )
+        cfg = AdmmConfig(eps_abs=0.0, eps_rel=0.0, max_iterations=1)
         cost = build_cost_matrix(PointCloud(np.arange(6.0).reshape(3, 2)))
         res = solve_son(cost, ProbabilityVector.uniform(3), 1.0, cfg)
         assert res.report.iterations == 1
 
 
-def balancing_steps(history, cfg):
+def balancing_steps(history):
     """rho changes the solver made, read off its residual history: every
-    iteration but the last whose residuals drift more than balancing_ratio
-    apart, up to max_balancing_steps."""
+    iteration but the last whose residuals drift more than the balancing
+    ratio apart, up to the step limit."""
     primal, dual = history[:-1, 0], history[:-1, 1]
-    drifted = (primal > cfg.balancing_ratio * dual) | (dual > cfg.balancing_ratio * primal)
-    return min(int(drifted.sum()), cfg.max_balancing_steps)
+    drifted = (primal > _BALANCING_RATIO * dual) | (dual > _BALANCING_RATIO * primal)
+    return min(int(drifted.sum()), _MAX_BALANCING_STEPS)
 
 
 class TestInPlaceLoopMatchesReference:
@@ -420,10 +405,7 @@ class TestInPlaceLoopMatchesReference:
         assert np.array_equal(got.auxiliary, want.auxiliary)
         assert got.report == want.report
         assert got.penalty == want.penalty
-        if want.residual_history is None:
-            assert got.residual_history is None
-        else:
-            assert np.array_equal(got.residual_history, want.residual_history)
+        assert np.array_equal(got.residual_history, want.residual_history)
         return got
 
     @pytest.mark.parametrize("make_config", [four_cluster_config, ten_cluster_config])
@@ -431,12 +413,11 @@ class TestInPlaceLoopMatchesReference:
         cloud = sample_gaussian_mixture(make_config())
         cost = build_cost_matrix(cloud)
         p0 = ProbabilityVector.uniform(cloud.size)
-        cfg = AdmmConfig(record_residuals=True)
         balanced = 0
         for penalty in (0.05, 1.0, 8.8, 228.0, 2000.0):
-            res = self.assert_identical(cost, p0, penalty, cfg)
+            res = self.assert_identical(cost, p0, penalty)
             assert res.report.status == "optimal"
-            balanced += balancing_steps(res.residual_history, cfg) > 0
+            balanced += balancing_steps(res.residual_history) > 0
         assert balanced > 0
 
     def test_128_point_cloud(self):
@@ -458,21 +439,19 @@ class TestInPlaceLoopMatchesReference:
             p0 = ProbabilityVector(weights / weights.sum())
             cost = build_cost_matrix(PointCloud(points))
             penalty = float(10 ** rng.uniform(-2, 3.5))
-            cfg = AdmmConfig(
-                max_iterations=int(rng.integers(5, 1500)),
-                adapt_rho_to_penalty=bool(trial % 3),
-                record_residuals=bool(trial % 2),
-            )
+            cfg = AdmmConfig(max_iterations=int(rng.integers(5, 1500)))
             self.assert_identical(cost, p0, penalty, cfg)
 
     def test_iteration_cutoffs_and_fixed_rho(self):
         cloud = sample_gaussian_mixture(ten_cluster_config(samples_per_component=3))
         cost = build_cost_matrix(cloud)
         p0 = ProbabilityVector.uniform(cloud.size)
+        # rho starts above its floor at penalty 500 and on the floor, the
+        # fixed start of every moderate penalty, at penalty 5
+        assert _initial_rho(500.0 / p0.norm2(), p0.norm2()) > _RHO_FLOOR
+        assert _initial_rho(5.0 / p0.norm2(), p0.norm2()) == _RHO_FLOOR
         for cutoff in (1, 2, 5, 37, 400):
-            for adapt in (True, False):
-                cfg = AdmmConfig(
-                    max_iterations=cutoff, adapt_rho_to_penalty=adapt, record_residuals=True
-                )
-                res = self.assert_identical(cost, p0, 500.0, cfg)
+            for penalty in (500.0, 5.0):
+                cfg = AdmmConfig(max_iterations=cutoff)
+                res = self.assert_identical(cost, p0, penalty, cfg)
                 assert res.report.iterations <= cutoff

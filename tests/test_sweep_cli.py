@@ -4,6 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import otclust.sweep
 from otclust.cli import main
 from otclust.core import PointCloud
 from otclust.pointio import read_points, write_points
@@ -50,7 +51,15 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_iterations", 0), ("max_iterations", -3), ("eps_abs", -1.0), ("eps_rel", -1e-4)],
+        [
+            ("max_iterations", 0),
+            ("max_iterations", -3),
+            ("eps_abs", -1.0),
+            ("eps_rel", -1e-4),
+            ("tie_tol", float("nan")),
+            ("tie_tol", -1.0),
+            ("tie_tol", float("inf")),
+        ],
     )
     def test_rejects_bad_solver_settings(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -231,6 +240,10 @@ class TestCli:
             ("--eps-abs", "-1"),
             ("--eps-rel", "-1e-4"),
             ("--eps-rel", "nan"),
+            ("--eps-abs", "inf"),
+            ("--tie-tol", "nan"),
+            ("--tie-tol", "-1"),
+            ("--tie-tol", "inf"),
         ],
     )
     def test_solver_flags_rejected_as_usage_errors(
@@ -242,6 +255,22 @@ class TestCli:
             main([command, "--points", csv_path, "--method", "son", *grid, flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_jobs_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, value):
+        solves = []
+        monkeypatch.setattr(otclust.sweep, "solve_one", lambda *args: solves.append(args))
+        csv_path = str(planted_csv(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "sweep", "--points", csv_path, "--method", "lp",
+                    "--lambdas", "1,2", "--jobs", value,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert solves == []
 
     def test_sweep_writes_report(self, tmp_path):
         csv_path = planted_csv(tmp_path)
