@@ -50,8 +50,8 @@ def extract_clusters(plan: TransportPlan, tie_tol: float = 1e-9) -> ClusteringRe
     n, m = entries.shape
     if n != m:
         raise ValueError(f"clustering needs a square plan, got {n}x{m}")
-    if not tie_tol >= 0:
-        raise ValueError("tie tolerance must be nonnegative")
+    if not (np.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError("tie tolerance must be finite and nonnegative")
     top = entries.max(axis=1)
     assignment = np.argmax(entries >= top[:, None] - tie_tol, axis=1)
     zero_rows = np.flatnonzero(top <= 0.0)

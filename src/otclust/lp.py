@@ -7,11 +7,15 @@ Dantzig (most negative reduced cost, lowest index on ties); after
 3 * constraint_count consecutive degenerate pivots it switches to Bland's
 rule until a nondegenerate step occurs, which guarantees termination.
 
-Phase 1 starts from slack-like singleton columns where available and
-artificial variables elsewhere. Redundant rows discovered at the end of
-phase 1 (a basic artificial at level zero whose tableau row has no usable
-entry) are dropped before phase 2. Artificial columns never reenter the
-basis once they leave.
+The crash basis takes a positive singleton column as the slack of each row
+it can. When some rows are left uncovered, the program gets one artificial
+unit column per such row, and phase 1 is an ordinary solve of that
+augmented program with cost 1 on the artificials; phase 2 solves the same
+program with the original costs and cost 0 on them. Artificial columns never
+reenter the basis once they leave, and one still basic at level zero leaves
+by a zero step as soon as the entering column has a nonzero entry in its
+row. One still basic at the end stays at zero, as it must on a redundant
+row, so the result keeps one dual value and one basis entry per row.
 """
 
 from __future__ import annotations
@@ -110,22 +114,19 @@ class LinearProgram:
             out[self._nonempty] = np.add.reduceat(contrib, self._starts)
         return out
 
-    def without_rows(self, keep: np.ndarray) -> "LinearProgram":
-        """The program restricted to the rows where keep is True."""
-        kept = keep[self.rowidx]
-        cols = np.repeat(np.arange(self.variable_count), np.diff(self.colptr))
-        counts = np.bincount(cols[kept], minlength=self.variable_count)
-        return LinearProgram(
-            self.objective,
-            np.concatenate([[0], np.cumsum(counts)]),
-            (np.cumsum(keep) - 1)[self.rowidx[kept]],
-            self.vals[kept],
-            self.rhs[keep],
-        )
-
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solve's result; dual holds the row prices of an optimal basis and
+    is None for any other status.
+
+    basis names one column per row. An id at or past the program's
+    variable_count is an artificial unit column left basic at level zero:
+    on a redundant row (a combination of other rows) it must stay, and at a
+    degenerate vertex it may. Its row's dual is 0, and solve_lp does not take
+    a basis holding such an id as initial_basis.
+    """
+
     primal: np.ndarray
     objective_value: float
     basis: np.ndarray
@@ -135,91 +136,65 @@ class LpSolution:
 
 
 class _SimplexState:
-    """Basis bookkeeping: ids >= n denote the artificial column e_(id - n)."""
+    """Basis bookkeeping over the columns of one program."""
 
     def __init__(self, lp, basis, budget):
         self.lp = lp
         self.basis = basis
         self.budget = budget
         self.pivots = 0
-        self.n = lp.variable_count
-        self.in_basis = np.zeros(self.n, dtype=bool)
-        for cid in basis:
-            if cid < self.n:
-                self.in_basis[cid] = True
+        self.in_basis = np.zeros(lp.variable_count, dtype=bool)
+        self.in_basis[basis] = True
         self.refactor()
 
-    def basis_matrix(self) -> np.ndarray:
-        m, n = self.lp.constraint_count, self.n
-        B = np.zeros((m, m))
-        for k, cid in enumerate(self.basis):
-            if cid < n:
-                lo, hi = self.lp.colptr[cid], self.lp.colptr[cid + 1]
-                B[self.lp.rowidx[lo:hi], k] = self.lp.vals[lo:hi]
-            else:
-                B[cid - n, k] = 1.0
-        return B
-
     def refactor(self):
+        B = np.zeros((self.lp.constraint_count, self.basis.size))
+        for k, j in enumerate(self.basis):
+            lo, hi = self.lp.colptr[j], self.lp.colptr[j + 1]
+            B[self.lp.rowidx[lo:hi], k] = self.lp.vals[lo:hi]
         try:
-            self.binv = np.linalg.inv(self.basis_matrix())
+            self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("basis matrix became singular") from exc
         self.xb = self.binv @ self.lp.rhs
         self.updated_since_refactor = False
 
-    def ftran(self, cid: int) -> np.ndarray:
-        if cid >= self.n:
-            return self.binv[:, cid - self.n].copy()
-        return self.binv @ self.lp.column(cid)
-
-    def basis_costs(self, cost: np.ndarray, art_cost: float) -> np.ndarray:
-        cb = np.full(self.basis.size, art_cost)
-        struct = self.basis < self.n
-        cb[struct] = cost[self.basis[struct]]
-        return cb
-
-    def replace(self, pos: int, entering: int):
-        leaving = self.basis[pos]
-        if leaving < self.n:
-            self.in_basis[leaving] = False
-        self.basis[pos] = entering
-        if entering < self.n:
-            self.in_basis[entering] = True
-
-    def pivot(self, entering: int, leave_pos: int, d: np.ndarray) -> float:
-        theta = max(self.xb[leave_pos], 0.0) / d[leave_pos]
+    def pivot(self, entering: int, leave_pos: int, d: np.ndarray, theta: float):
         br = self.binv[leave_pos] / d[leave_pos]
         self.binv -= np.outer(d, br)
         self.binv[leave_pos] = br
         self.xb -= theta * d
         self.xb[leave_pos] = theta
-        self.replace(leave_pos, entering)
+        self.in_basis[self.basis[leave_pos]] = False
+        self.basis[leave_pos] = entering
+        self.in_basis[entering] = True
         self.pivots += 1
         self.updated_since_refactor = True
         if self.pivots % _REFACTOR_EVERY == 0:
             self.refactor()
-        return theta
 
 
-def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str:
-    """Iterate to optimality for the given structural costs.
+def _run_simplex(state: _SimplexState, cost: np.ndarray, priced: int) -> str:
+    """Iterate to optimality for the given costs.
 
-    art_cost is the objective coefficient shared by every artificial column
-    (1.0 in phase 1; phase 2 never sees a basic artificial). Only structural
-    columns are priced, so artificials cannot reenter.
+    Only the first `priced` columns may enter; the rest are artificial. An
+    artificial basic at level zero (within the phase-1 tolerance) leaves by
+    a zero step whenever the entering column has a nonzero entry in its row,
+    so it never carries mass.
     """
     # reduced costs carry rounding in proportion to the costs themselves
-    tolerance = _PIVOT_TOLERANCE * max(1.0, art_cost, float(np.abs(cost).max()))
+    tolerance = _PIVOT_TOLERANCE * max(1.0, float(np.abs(cost).max()))
+    has_artificials = priced < state.lp.variable_count
     bland_trigger = 3 * state.lp.constraint_count
     degenerate_run = 0
     use_bland = False
     while True:
         if state.pivots >= state.budget:
             return STATUS_MAX_ITERATIONS
-        y = state.basis_costs(cost, art_cost) @ state.binv
+        y = cost[state.basis] @ state.binv
         reduced = cost - state.lp.transpose_dot(y)
         reduced[state.in_basis] = np.inf
+        reduced[priced:] = np.inf
         if use_bland:
             candidates = np.flatnonzero(reduced < -tolerance)
             if candidates.size == 0:
@@ -229,16 +204,24 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -tolerance:
                 return STATUS_OPTIMAL
-        d = state.ftran(entering)
-        blocking = np.flatnonzero(d > _RATIO_TOLERANCE)
-        if blocking.size == 0:
-            return STATUS_UNBOUNDED
-        ratios = np.maximum(state.xb[blocking], 0.0) / d[blocking]
-        theta = ratios.min()
-        ties = blocking[ratios <= theta * (1.0 + 1e-12) + 1e-15]
-        leave_pos = int(ties[np.argmin(state.basis[ties])])
-        step = state.pivot(entering, leave_pos, d)
-        if step <= _DEGENERATE_STEP:
+        d = state.binv @ state.lp.column(entering)
+        stuck = ()
+        if has_artificials:
+            stuck = np.flatnonzero((state.basis >= priced)
+                                   & (state.xb <= _PHASE1_TOLERANCE)
+                                   & (np.abs(d) > _PIVOT_TOLERANCE))
+        if len(stuck):
+            leave_pos, theta = int(stuck[0]), 0.0
+        else:
+            blocking = np.flatnonzero(d > _RATIO_TOLERANCE)
+            if blocking.size == 0:
+                return STATUS_UNBOUNDED
+            ratios = np.maximum(state.xb[blocking], 0.0) / d[blocking]
+            ties = blocking[ratios <= ratios.min() * (1.0 + 1e-12) + 1e-15]
+            leave_pos = int(ties[np.argmin(state.basis[ties])])
+            theta = max(state.xb[leave_pos], 0.0) / d[leave_pos]
+        state.pivot(entering, leave_pos, d, theta)
+        if theta <= _DEGENERATE_STEP:
             degenerate_run += 1
             if degenerate_run >= bland_trigger:
                 use_bland = True
@@ -247,47 +230,17 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, art_cost: float) -> str
             use_bland = False
 
 
-def _cleanup_artificials(state: _SimplexState):
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    n = state.n
-    redundant: list[int] = []
-    for pos in range(state.basis.size):
-        cid = state.basis[pos]
-        if cid < n:
-            continue
-        tableau_row = state.lp.transpose_dot(state.binv[pos])
-        tableau_row[state.in_basis] = 0.0
-        usable = np.flatnonzero(np.abs(tableau_row) > _PIVOT_TOLERANCE)
-        if usable.size == 0:
-            redundant.append(pos)
-            continue
-        entering = int(usable[0])
-        d = state.ftran(entering)
-        # zero-level pivot; the pivot element may carry either sign
-        br = state.binv[pos] / d[pos]
-        state.binv -= np.outer(d, br)
-        state.binv[pos] = br
-        state.xb[pos] = 0.0
-        state.replace(pos, entering)
-        state.pivots += 1
-        state.updated_since_refactor = True
-    if redundant:
-        keep_rows = np.ones(state.lp.constraint_count, dtype=bool)
-        keep_slots = np.ones(state.basis.size, dtype=bool)
-        for pos in redundant:
-            keep_slots[pos] = False
-            keep_rows[state.basis[pos] - n] = False
-        state.lp = state.lp.without_rows(keep_rows)
-        state.basis = state.basis[keep_slots]
+def _solution(state: _SimplexState, status: str, n: int) -> LpSolution:
+    """The result over the first n columns, with row duals when optimal."""
+    if state.updated_since_refactor:
         state.refactor()
-
-
-def _partial_solution(lp: LinearProgram, state: _SimplexState, status: str) -> LpSolution:
-    x = np.zeros(state.n)
-    keep = state.basis < state.n
-    x[state.basis[keep]] = state.xb[keep]
-    return LpSolution(x, float(lp.objective @ x), state.basis.copy(), status,
-                      None, state.pivots)
+    x = np.zeros(state.lp.variable_count)
+    x[state.basis] = state.xb
+    x = x[:n]
+    cost = state.lp.objective
+    dual = cost[state.basis] @ state.binv if status == STATUS_OPTIMAL else None
+    objective = -np.inf if status == STATUS_UNBOUNDED else float(cost[:n] @ x)
+    return LpSolution(x, objective, state.basis.copy(), status, dual, state.pivots)
 
 
 def solve_lp(lp: LinearProgram, initial_basis=None) -> LpSolution:
@@ -296,7 +249,7 @@ def solve_lp(lp: LinearProgram, initial_basis=None) -> LpSolution:
     An optional initial_basis (iterable of structural column ids, one per
     row) is adopted directly when it is nonsingular and primal feasible;
     otherwise the solver falls back to a fresh phase 1. Resolving from an
-    optimal basis therefore costs zero pivots.
+    optimal basis of structural columns therefore costs zero pivots.
     """
     m, n = lp.constraint_count, lp.variable_count
     budget = _PIVOT_BUDGET_FACTOR * (n + m)
@@ -324,24 +277,25 @@ def solve_lp(lp: LinearProgram, initial_basis=None) -> LpSolution:
             if v > 0 and not covered[r]:
                 covered[r] = True
                 basis[r] = j
-        for r in range(m):
-            if not covered[r]:
-                basis[r] = n + r
+        uncovered = np.flatnonzero(~covered)
+        extra = uncovered.size
+        if extra:
+            # [A | I] with one artificial unit column per uncovered row
+            lp = LinearProgram(
+                np.concatenate([lp.objective, np.zeros(extra)]),
+                np.concatenate([lp.colptr, lp.colptr[-1] + np.arange(1, extra + 1)]),
+                np.concatenate([lp.rowidx, uncovered]),
+                np.concatenate([lp.vals, np.ones(extra)]),
+                lp.rhs,
+            )
+            basis[uncovered] = n + np.arange(extra)
         state = _SimplexState(lp, basis, budget)
-        if (state.basis >= n).any():
-            status = _run_simplex(state, np.zeros(n), art_cost=1.0)
+        if extra:
+            status = _run_simplex(state, np.repeat([0.0, 1.0], [n, extra]), n)
             if status == STATUS_MAX_ITERATIONS:
-                return _partial_solution(lp, state, STATUS_MAX_ITERATIONS)
+                return _solution(state, status, n)
             art_level = np.where(state.basis >= n, state.xb, 0.0)
             if float(np.maximum(art_level, 0.0).sum()) > _PHASE1_TOLERANCE:
-                return _partial_solution(lp, state, STATUS_INFEASIBLE)
-            _cleanup_artificials(state)
+                return _solution(state, STATUS_INFEASIBLE, n)
 
-    status = _run_simplex(state, lp.objective, art_cost=0.0)
-    if state.updated_since_refactor:
-        state.refactor()
-    x = np.zeros(n)
-    x[state.basis] = state.xb
-    dual = lp.objective[state.basis] @ state.binv
-    objective = -np.inf if status == STATUS_UNBOUNDED else float(lp.objective @ x)
-    return LpSolution(x, objective, state.basis.copy(), status, dual, state.pivots)
+    return _solution(state, _run_simplex(state, state.lp.objective, n), n)

@@ -46,8 +46,8 @@ class AdmmConfig:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if not (self.eps_abs >= 0 and self.eps_rel >= 0):
-            raise ValueError("eps_abs and eps_rel must be nonnegative")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.eps_abs, self.eps_rel)):
+            raise ValueError("eps_abs and eps_rel must be finite and nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -170,6 +170,11 @@ class TestExtractClusters:
         with pytest.raises(ValueError, match="tie tolerance"):
             extract_clusters(plan_from(np.eye(2) / 2), tie_tol=float("nan"))
 
+    def test_rejects_infinite_tie_tol(self):
+        # an infinite tolerance would tie every entry and send each row to column 0
+        with pytest.raises(ValueError, match="tie tolerance"):
+            extract_clusters(plan_from(np.eye(2) / 2), tie_tol=float("inf"))
+
     def test_assignment_is_read_only(self):
         res = extract_clusters(plan_from(np.eye(3) / 3))
         with pytest.raises(ValueError):

@@ -23,6 +23,24 @@ def random_program(rng, n_vars=4, n_rows=2, feasible=True):
     return program_from_rows(c, rows, b), c, A, b
 
 
+def with_dependent_row(c, A, b, total):
+    """The same feasible set with one more row: the sum of all rows when
+    total is set, else a copy of the first."""
+    extra = A.sum(axis=0) if total else A[0]
+    A = np.vstack([A, extra])
+    b = np.append(b, b.sum() if total else b[0])
+    rows = [list(zip(range(A.shape[1]), map(float, row))) for row in A]
+    return program_from_rows(c, rows, b), A, b
+
+
+def assert_optimal_dual(sol, c, A, b):
+    """One dual entry and one basis entry per row, dual feasible, and b.y
+    equal to the objective."""
+    assert len(sol.dual) == len(sol.basis) == A.shape[0]
+    assert (c - A.T @ sol.dual).min() >= -1e-9 * (1 + np.abs(c).max())
+    assert b @ sol.dual == pytest.approx(sol.objective_value, rel=1e-9, abs=1e-9)
+
+
 class TestStandardForm:
     def test_single_upper_bound(self):
         # max x subject to x + s = 1
@@ -87,6 +105,9 @@ class TestProgramValidation:
 
 class TestSolveAgainstEnumeration:
     def test_small_random_instances(self):
+        # each program is solved as drawn and again with a dependent last
+        # row, which leaves an artificial basic at zero; both must match the
+        # enumeration over the independent rows
         rng = np.random.default_rng(20240817)
         statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
         for trial in range(120):
@@ -94,16 +115,19 @@ class TestSolveAgainstEnumeration:
             m = int(rng.integers(1, 4))
             lp, c, A, b = random_program(rng, n, m, feasible=bool(trial % 3))
             want_status, _, want_val = enumerate_lp(c, A, b)
-            sol = solve_lp(lp)
-            assert sol.status == want_status, f"trial {trial}"
             statuses[want_status] += 1
-            if want_status == "optimal":
-                assert sol.objective_value == pytest.approx(
-                    want_val, rel=1e-8, abs=1e-8
-                )
-                x = sol.primal
-                assert (x >= -1e-9).all()
-                assert np.abs(A @ x - b).max() <= 1e-8 * (1 + np.abs(b).max())
+            redundant, A_full, b_full = with_dependent_row(c, A, b, total=trial % 2)
+            for program, rows, rhs in ((lp, A, b), (redundant, A_full, b_full)):
+                sol = solve_lp(program)
+                assert sol.status == want_status, f"trial {trial}"
+                if want_status == "optimal":
+                    assert sol.objective_value == pytest.approx(
+                        want_val, rel=1e-8, abs=1e-8
+                    )
+                    x = sol.primal
+                    assert (x >= -1e-9).all()
+                    assert np.abs(rows @ x - rhs).max() <= 1e-8 * (1 + np.abs(rhs).max())
+                    assert_optimal_dual(sol, c, rows, rhs)
         # the generator must have exercised every status
         assert min(statuses.values()) > 0
 
@@ -159,11 +183,28 @@ class TestSolutionCertificates:
 
 
 class TestRedundantRows:
-    def test_duplicated_equality_dropped(self):
-        # x + y = 1 stated twice; solver must shed the dependent row
+    def test_duplicated_equality_solved(self):
+        # x + y = 1 stated twice; the copy keeps its artificial at zero
         rows = ([(0, 1.0), (1, 1.0)], [(0, 1.0), (1, 1.0)])
         lp = program_from_rows([1.0, 2.0], rows, [1.0, 1.0])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.primal == pytest.approx([1.0, 0.0])
         assert sol.objective_value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "A, b",
+        [
+            # x + y = 1 stated twice
+            ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1.0, 1.0]),
+            # the third row is the sum of the first two
+            ([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]], [1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_dual_has_one_entry_per_row(self, A, b):
+        c = np.array([1.0, 2.0, 0.5])
+        A, b = np.array(A), np.array(b)
+        rows = [[(j, v) for j, v in enumerate(row) if v] for row in A]
+        sol = solve_lp(program_from_rows(c, rows, b))
+        assert sol.status == "optimal"
+        assert_optimal_dual(sol, c, A, b)

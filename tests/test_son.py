@@ -370,6 +370,9 @@ class TestAdmmConfig:
         [
             ("eps_abs", -1.0),
             ("eps_rel", -1e-4),
+            # an infinite tolerance stops the solve after one iteration
+            ("eps_abs", float("inf")),
+            ("eps_rel", float("inf")),
             ("max_iterations", 0),
         ],
     )

@@ -56,6 +56,8 @@ class TestExperimentSpec:
             ("max_iterations", -3),
             ("eps_abs", -1.0),
             ("eps_rel", -1e-4),
+            ("eps_abs", float("inf")),
+            ("eps_rel", float("inf")),
             ("tie_tol", float("nan")),
             ("tie_tol", -1.0),
             ("tie_tol", float("inf")),
