@@ -183,7 +183,10 @@ class SolveReport:
 
     status is one of "optimal", "max_iterations", "infeasible", "unbounded".
     The residual fields are populated by the ADMM path only; `note` carries
-    warnings such as non-unique openings.
+    warnings such as non-unique openings. duality_gap is set by `son` only:
+    objective minus the value of a feasible point of its dual, so the true
+    optimum lies in [objective - duality_gap, objective]. It is 0 when the
+    single-site plan is certified optimal.
     """
 
     objective: float
@@ -192,6 +195,7 @@ class SolveReport:
     primal_residual: float | None = None
     dual_residual: float | None = None
     note: str | None = None
+    duality_gap: float | None = None
 
 
 def build_cost_matrix(source: PointCloud, target: PointCloud | None = None) -> CostMatrix:

@@ -1,4 +1,4 @@
-"""Column-sparsity relaxation solved by ADMM.
+"""Column-sparsity relaxation, certified in closed form or solved by ADMM.
 
 The target is
 
@@ -14,17 +14,36 @@ whose envelope max_i x_ij / p0_i (the `lp` relaxation's opening level) is
 never smaller. At p0 = (1/2, 1/2) and plan diag(p0) this surrogate is
 sqrt(2), the box envelope and the column count both 2.
 
-Splitting: a primal copy handles the linear cost and the row constraints
-(row-wise projection onto scaled simplexes), a consensus copy handles the
-column-norm penalty (column-wise shrinkage), and a scaled dual variable ties
-them together. Residual balancing doubles or halves the step weight rho when
-the primal and dual residuals drift more than a factor apart, a bounded
-number of times.
+Dual: with kappa = penalty / ||p0||_2 and row multipliers u,
+
+    max  p0 . u   s.t.  ||(u - cost[:, j])_+||_2 <= kappa  for every column j.
+
+A row with p0_i = 0 leaves u_i free, so it takes no part in the norms. Any
+u, lowered by the smallest uniform shift t >= 0 that makes it feasible,
+bounds the optimum from below by p0 . u - t.
+
+Certificate: the plan that puts all of p0 on the column s minimizing
+p0 . cost[:, s] (lowest index on ties) has the dual
+u = cost[:, s] + kappa p0 / ||p0||_2 of equal value, so it is optimal iff
+that u is feasible. `solve_son` tests this first, in one O(n^2) pass. When
+it holds the solve returns that plan as exactly optimal with
+iterations = 0, an empty residual history and duality_gap 0, and runs no
+ADMM.
+
+ADMM, where the certificate fails: a primal copy handles the linear cost
+and the row constraints (row-wise projection onto scaled simplexes), a
+consensus copy handles the column-norm penalty (column-wise shrinkage), and
+a scaled dual variable ties them together. Residual balancing doubles or
+halves the step weight rho when the primal and dual residuals drift more
+than a factor apart, a bounded number of times. The status still comes
+from the residuals; the report's duality_gap reads u off the final plan
+(u_i = cost_ij + kappa x_ij / ||x_j||_2 at the largest entry of row i) and
+shifts it feasible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,19 +181,58 @@ def _initial_rho(kappa: float, p0_norm: float) -> float:
     return max(_RHO_FLOOR, kappa / (_PENALTY_RHO_DIVISOR * max(p0_norm, 1e-12)))
 
 
+def _positive_norms(slack) -> np.ndarray:
+    positive = np.maximum(slack, 0.0)
+    return np.sqrt(np.add.reduce(positive * positive, axis=0))
+
+
+def _dual_shift(slack, kappa: float) -> float:
+    """Smallest t >= 0 with ||(slack[:, j] - t)_+||_2 <= kappa for every j.
+
+    slack[:, j] is u - cost[:, j] on the rows with positive weight, so u - t
+    is dual feasible. For a violated column a, sorted descending, t is the
+    root of sum_k (a_k - t)_+^2 = kappa^2: with the k entries above the root
+    active, the smaller root of k t^2 - 2 S1 t + S2 - kappa^2, written as
+    (S2 - kappa^2) / (S1 + sqrt(S1^2 - k (S2 - kappa^2))) to avoid
+    cancellation.
+    """
+    over = np.flatnonzero(_positive_norms(slack) > kappa)
+    if over.size == 0:
+        return 0.0
+    a = -np.sort(-slack[:, over], axis=0)
+    s1 = np.cumsum(a, axis=0)
+    s2 = np.cumsum(a * a, axis=0)
+    # sum_{i <= k} (a_i - a_k)^2 grows with k; the active count is how many
+    # entries leave it below kappa^2 (at least one, for kappa = 0)
+    k = np.arange(1, a.shape[0] + 1)[:, None]
+    spread = s2 - 2.0 * a * s1 + k * a * a
+    active = np.maximum((spread < kappa * kappa).sum(axis=0), 1)
+    columns = np.arange(over.size)
+    S1 = s1[active - 1, columns]
+    excess = s2[active - 1, columns] - kappa * kappa
+    root = excess / (S1 + np.sqrt(np.maximum(S1 * S1 - active * excess, 0.0)))
+    return max(float(root.max()), 0.0)
+
+
+def _son_objective(cost, plan, kappa):
+    return transport_cost(cost, plan) + kappa * float(
+        np.linalg.norm(plan, axis=0).sum()
+    )
+
+
 def solve_son(
     cost: CostMatrix,
     p0: ProbabilityVector,
     penalty: float,
     config: AdmmConfig | None = None,
 ) -> SonResult:
-    """ADMM for the column-norm-penalized transport relaxation.
+    """Column-norm-penalized transport relaxation: the certified single-site
+    plan when its closed-form dual is feasible, ADMM otherwise.
 
     penalty is the user-facing weight on the support surrogate; internally
     it is divided by ||p0||_2 so a plan concentrated on a single column pays
     exactly `penalty`.
     """
-    cfg = config or AdmmConfig()
     n, m = cost.shape
     if n != m:
         raise ValueError("cost matrix must be square for self-transport")
@@ -183,6 +241,61 @@ def solve_son(
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
 
+    C = cost.entries
+    weights = p0.weights
+    p0_norm = p0.norm2()
+    kappa = penalty / p0_norm
+    rows = weights > 0
+    medoid = int(np.argmin(weights @ C))
+    # u - cost[:, j] as (cost[:, s] - cost[:, j]) + kappa p0 / ||p0||, so a
+    # duplicate of s gets exactly column s's slack, whose norm is kappa up
+    # to rounding and bounds the others. The dual is feasible, the shift
+    # of _dual_shift zero, iff no column's norm exceeds that bound.
+    slack = (C[rows, medoid][:, None] - C[rows]) + (kappa / p0_norm) * weights[rows][
+        :, None
+    ]
+    norms = _positive_norms(slack)
+    if norms.max() <= max(kappa, norms[medoid]):
+        plan = np.zeros_like(C)
+        plan[:, medoid] = weights
+        feasible = TransportPlan(plan, p0)
+        report = SolveReport(
+            objective=_son_objective(cost, feasible.entries, kappa),
+            iterations=0,
+            status=STATUS_OPTIMAL,
+            duality_gap=0.0,
+        )
+        return SonResult(
+            plan=feasible,
+            auxiliary=plan.copy(),
+            penalty=float(penalty),
+            report=report,
+            residual_history=np.empty((0, 2)),
+        )
+
+    result = _admm(cost, p0, penalty, config)
+    # u_i = cost_ij + kappa x_ij / ||x_j|| at each row's largest entry, the
+    # row multiplier of a plan that is optimal on its support
+    X = result.plan.entries[rows]
+    j = X.argmax(axis=1)
+    i = np.arange(j.size)
+    column_norms = np.linalg.norm(result.plan.entries, axis=0)
+    u = C[rows][i, j] + kappa * X[i, j] / column_norms[j]
+    shift = _dual_shift(u[:, None] - C[rows], kappa)
+    lower = float(weights[rows] @ u) - shift * float(weights[rows].sum())
+    report = replace(result.report, duality_gap=result.report.objective - lower)
+    return replace(result, report=report)
+
+
+def _admm(
+    cost: CostMatrix,
+    p0: ProbabilityVector,
+    penalty: float,
+    config: AdmmConfig | None = None,
+) -> SonResult:
+    """The ADMM loop from the diagonal plan; its report has no duality gap."""
+    cfg = config or AdmmConfig()
+    n = cost.shape[0]
     p0_norm = p0.norm2()
     kappa = penalty / p0_norm
     rho = _initial_rho(kappa, p0_norm)
@@ -243,11 +356,8 @@ def solve_son(
                 np.divide(cost.entries, rho, out=scaled_cost)
 
     feasible = TransportPlan(plan, p0)
-    objective = transport_cost(cost, feasible.entries) + kappa * float(
-        np.linalg.norm(feasible.entries, axis=0).sum()
-    )
     report = SolveReport(
-        objective=objective,
+        objective=_son_objective(cost, feasible.entries, kappa),
         iterations=iterations,
         status=STATUS_OPTIMAL if converged else STATUS_MAX_ITERATIONS,
         primal_residual=primal_res,

@@ -9,7 +9,9 @@ solvers, and `support_envelope` writes the envelope of the column count as
 a subset LP for it. `son_reference` is the ADMM loop for `son` written with
 a fresh array per operation, the bit-for-bit reference for the solver's
 in-place loop; `reference_row_assignment` is the clustering rule one row at
-a time.
+a time. `medoid_dual_excess` checks the single-site dual of `son` one column
+at a time, and `dual_shift_bisection` finds its feasibility shift by
+bisection.
 """
 
 import itertools
@@ -353,3 +355,43 @@ def son_reference(cost, p0, penalty, config=None):
         report=report,
         residual_history=np.asarray(history),
     )
+
+
+def medoid_dual_excess(cost, weights, penalty):
+    """max over columns j != s of ||(u - C_j)_+||_2 - kappa, for the dual
+    u = C_s + kappa p0 / ||p0||_2 of the best single site s, on the rows
+    with positive weight, one column at a time. The single-site plan is
+    optimal for `son` iff this is <= 0 (-inf when there is no other
+    column)."""
+    C = cost.entries
+    w = np.asarray(weights, dtype=float)
+    norm = math.sqrt(float(w @ w))
+    kappa = penalty / norm
+    s = int(np.argmin(w @ C))
+    rows = w > 0
+    u = C[rows, s] + kappa * w[rows] / norm
+    excess = -math.inf
+    for j in range(C.shape[1]):
+        if j != s:
+            violation = np.maximum(u - C[rows, j], 0.0)
+            excess = max(excess, math.sqrt(float(violation @ violation)) - kappa)
+    return excess
+
+
+def dual_shift_bisection(slack, kappa, steps=200):
+    """Smallest t >= 0 with ||(slack[:, j] - t)_+||_2 <= kappa for every
+    column j, by bisection on each column."""
+    worst = 0.0
+    for a in np.asarray(slack, dtype=float).T:
+        if math.sqrt(float(np.maximum(a, 0.0) @ np.maximum(a, 0.0))) <= kappa:
+            continue
+        lo, hi = 0.0, float(a.max())
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            rest = np.maximum(a - mid, 0.0)
+            if math.sqrt(float(rest @ rest)) > kappa:
+                lo = mid
+            else:
+                hi = mid
+        worst = max(worst, hi)
+    return worst

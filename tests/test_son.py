@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from otclust import (
     CostMatrix,
+    solve_facility_relaxation,
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
@@ -19,6 +22,8 @@ from otclust.son import (
     _MAX_BALANCING_STEPS,
     _RHO_FLOOR,
     AdmmConfig,
+    _admm,
+    _dual_shift,
     _initial_rho,
     _project_rows,
     group_shrink,
@@ -27,6 +32,8 @@ from otclust.son import (
 )
 
 from oracles import (
+    dual_shift_bisection,
+    medoid_dual_excess,
     projection_threshold_scan,
     reference_project_rows,
     son_reference,
@@ -396,19 +403,36 @@ def balancing_steps(history):
     return min(int(drifted.sum()), _MAX_BALANCING_STEPS)
 
 
+def assert_same_solve(got, want):
+    assert np.array_equal(got.plan.entries, want.plan.entries)
+    assert np.array_equal(got.auxiliary, want.auxiliary)
+    assert got.report == want.report
+    assert got.penalty == want.penalty
+    assert np.array_equal(got.residual_history, want.residual_history)
+
+
 class TestInPlaceLoopMatchesReference:
-    """solve_son runs its ADMM loop in buffers allocated once per solve;
+    """`_admm` runs the ADMM loop in buffers allocated once per solve;
     tests/oracles.py `son_reference` runs the same operations with a fresh
-    array for every intermediate. Every iterate must agree to the bit."""
+    array for every intermediate. Every iterate must agree to the bit, and
+    solve_son must return the same solve wherever the single-site
+    certificate fails."""
 
     def assert_identical(self, cost, p0, penalty, cfg=None):
-        got = solve_son(cost, p0, penalty, cfg)
+        got = _admm(cost, p0, penalty, cfg)
         want = son_reference(cost, p0, penalty, cfg)
-        assert np.array_equal(got.plan.entries, want.plan.entries)
-        assert np.array_equal(got.auxiliary, want.auxiliary)
-        assert got.report == want.report
-        assert got.penalty == want.penalty
-        assert np.array_equal(got.residual_history, want.residual_history)
+        assert_same_solve(got, want)
+        full = solve_son(cost, p0, penalty, cfg)
+        excess = medoid_dual_excess(cost, p0.weights, penalty)
+        slack = 1e-9 * max(penalty / p0.norm2(), 1.0)
+        if full.report.iterations == 0:
+            assert excess <= slack
+        else:
+            assert excess >= -slack
+            assert full.report.duality_gap is not None
+            assert_same_solve(
+                replace(full, report=replace(full.report, duality_gap=None)), want
+            )
         return got
 
     @pytest.mark.parametrize("make_config", [four_cluster_config, ten_cluster_config])
@@ -458,3 +482,212 @@ class TestInPlaceLoopMatchesReference:
                 cfg = AdmmConfig(max_iterations=cutoff)
                 res = self.assert_identical(cost, p0, penalty, cfg)
                 assert res.report.iterations <= cutoff
+
+
+def son_value(cost, p0, penalty, plan):
+    return transport_cost(cost, plan) + (penalty / p0.norm2()) * float(
+        np.linalg.norm(plan, axis=0).sum()
+    )
+
+
+def two_site_grid(cost, p0, penalty, steps=400):
+    """Criterion 4's dense grid over the two free entries of a 2 x 2
+    row-feasible plan: the smallest son value found."""
+    w = p0.weights
+    a = np.linspace(0.0, w[0], steps)[:, None]
+    b = np.linspace(0.0, w[1], steps)[None, :]
+    C = cost.entries
+    transport = C[0, 0] * a + C[0, 1] * (w[0] - a) + C[1, 0] * b + C[1, 1] * (w[1] - b)
+    norms = np.sqrt(a**2 + b**2) + np.sqrt((w[0] - a) ** 2 + (w[1] - b) ** 2)
+    return float((transport + penalty / p0.norm2() * norms).min())
+
+
+class TestSingleSiteCertificate:
+    """solve_son returns the best single-site plan with no ADMM iteration
+    exactly when its closed-form dual is feasible."""
+
+    def assert_certified(self, cost, p0, penalty):
+        res = solve_son(cost, p0, penalty)
+        medoid = int(np.argmin(p0.weights @ cost.entries))
+        want = np.zeros(cost.shape)
+        want[:, medoid] = p0.weights
+        assert res.report.iterations == 0
+        assert res.report.status == "optimal"
+        assert res.report.duality_gap == 0.0
+        assert np.array_equal(res.plan.entries, want)
+        assert np.array_equal(res.auxiliary, want)
+        assert res.residual_history.shape == (0, 2)
+        assert res.report.objective == son_value(cost, p0, penalty, want)
+        return res
+
+    def test_two_sites_certified_iff_grid_optimum_is_the_medoid(self):
+        rng = np.random.default_rng(505)
+        outcomes = []
+        for trial in range(60):
+            cost = build_cost_matrix(PointCloud(rng.normal(size=(2, 2)) * 2))
+            w0 = float(rng.uniform(0.15, 0.85))
+            p0 = ProbabilityVector(np.array([w0, 1 - w0]))
+            penalty = float(cost.entries[0, 1] * 10 ** rng.uniform(-1.5, 0.5))
+            medoid_value = penalty + float((p0.weights @ cost.entries).min())
+            at_medoid = abs(two_site_grid(cost, p0, penalty) - medoid_value) <= 1e-9
+            certified = solve_son(cost, p0, penalty).report.iterations == 0
+            assert certified == at_medoid, f"trial {trial}"
+            outcomes.append(certified)
+        assert 10 <= sum(outcomes) <= 50
+
+    def test_single_point(self):
+        cost = build_cost_matrix(PointCloud(np.array([[1.5, -2.0]])))
+        for penalty in (0.0, 1.0, 1e3):
+            res = self.assert_certified(cost, ProbabilityVector.uniform(1), penalty)
+            assert res.report.objective == penalty
+
+    def test_all_points_duplicated(self):
+        # every column is the same; rounding must not make any of them
+        # look cheaper than the first
+        rng = np.random.default_rng(8)
+        cost = build_cost_matrix(PointCloud(np.tile([[0.3, 7.0]], (7, 1))))
+        weights = rng.random(7)
+        for p0 in (ProbabilityVector.uniform(7), ProbabilityVector(weights / weights.sum())):
+            for penalty in (0.0, 0.1, 10.0, 1e4):
+                res = self.assert_certified(cost, p0, penalty)
+                assert res.plan.entries[:, 0].sum() == pytest.approx(1.0)
+                assert res.report.objective == pytest.approx(penalty, rel=1e-12)
+
+    def test_far_zero_weight_point_does_not_block(self):
+        # the far point carries no mass, so its row of the dual is free; with
+        # that row counted, column 3 would violate the constraint by ~2000
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-1000.0, 0.0]])
+        cost = build_cost_matrix(PointCloud(points))
+        p0 = ProbabilityVector(np.array([0.4, 0.2, 0.2, 0.2, 0.0]))
+        res = self.assert_certified(cost, p0, 20.0)
+        assert res.plan.entries[:, 0].tolist() == p0.weights.tolist()
+        # the same instance without the far point is certified too, at the
+        # same value
+        near = ProbabilityVector(np.array([0.4, 0.2, 0.2, 0.2]))
+        alone = self.assert_certified(build_cost_matrix(PointCloud(points[:4])), near, 20.0)
+        assert alone.report.objective == pytest.approx(res.report.objective, rel=1e-12)
+
+    def test_zero_penalty_keeps_the_diagonal_on_distinct_points(self):
+        cost = build_cost_matrix(PointCloud(np.random.default_rng(9).normal(size=(6, 2))))
+        p0 = ProbabilityVector.uniform(6)
+        res = solve_son(cost, p0, 0.0)
+        assert res.report.iterations > 0
+        assert np.abs(res.plan.entries - np.diag(p0.weights)).max() <= 1e-9
+        assert_same_solve(
+            replace(res, report=replace(res.report, duality_gap=None)),
+            son_reference(cost, p0, 0.0),
+        )
+
+    @pytest.mark.parametrize("per_component, penalty", [(64, 675.0), (128, 300.0)])
+    def test_large_clouds_at_large_penalty(self, per_component, penalty):
+        # ADMM took 9,570 iterations (256 points) and hit max_iterations
+        # (512 points) here
+        cloud = sample_gaussian_mixture(
+            four_cluster_config(samples_per_component=per_component)
+        )
+        cost = build_cost_matrix(cloud)
+        self.assert_certified(cost, ProbabilityVector.uniform(cloud.size), penalty)
+
+    def test_builtin_clouds_match_the_column_by_column_dual(self):
+        for make_config, penalties in (
+            (four_cluster_config, (1.0, 74.0, 82.0, 83.0, 228.0, 2000.0)),
+            (ten_cluster_config, (0.05, 50.0, 137.0, 138.0, 425.0, 2000.0)),
+        ):
+            cost = build_cost_matrix(sample_gaussian_mixture(make_config()))
+            p0 = ProbabilityVector.uniform(cost.shape[0])
+            for penalty in penalties:
+                excess = medoid_dual_excess(cost, p0.weights, penalty)
+                certified = _certified_without_admm(cost, p0, penalty)
+                assert certified == (excess <= 0.0), (make_config, penalty)
+                if certified:
+                    self.assert_certified(cost, p0, penalty)
+
+
+def _certified_without_admm(cost, p0, penalty):
+    return solve_son(cost, p0, penalty, AdmmConfig(max_iterations=1)).report.iterations == 0
+
+
+class TestDualShift:
+    def test_matches_bisection(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            slack = rng.normal(size=(rows, cols)) * 3
+            kappa = float(rng.choice([0.0, rng.uniform(0.01, 4.0)]))
+            want = dual_shift_bisection(slack, kappa)
+            assert _dual_shift(slack, kappa) == pytest.approx(want, abs=1e-9)
+
+    def test_feasible_slack_needs_no_shift(self):
+        assert _dual_shift(np.array([[0.6], [0.8], [-5.0]]), 1.0) == 0.0
+        assert _dual_shift(-np.ones((3, 4)), 0.0) == 0.0
+
+    def test_shifted_columns_are_feasible_and_one_is_tight(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            slack = rng.normal(size=(6, 5)) + 2.0
+            kappa = float(rng.uniform(0.1, 2.0))
+            t = _dual_shift(slack, kappa)
+            norms = np.linalg.norm(np.maximum(slack - t, 0.0), axis=0)
+            assert norms.max() == pytest.approx(kappa, rel=1e-12)
+
+
+class TestDualityGap:
+    """Every son solve reports objective minus the value of a feasible dual
+    point, so objective - duality_gap bounds the optimum from below."""
+
+    def assert_bounds(self, cost, p0, penalty, cfg=None):
+        res = solve_son(cost, p0, penalty, cfg)
+        gap = res.report.duality_gap
+        scale = max(abs(res.report.objective), 1.0)
+        assert gap >= -1e-12 * scale
+        lower = res.report.objective - gap
+        medoid = np.zeros(cost.shape)
+        medoid[:, int(np.argmin(p0.weights @ cost.entries))] = p0.weights
+        facility = solve_facility_relaxation(cost, p0, penalty).plan.entries
+        for plan in (res.plan.entries, medoid, facility):
+            assert lower <= son_value(cost, p0, penalty, plan) + 1e-12 * scale
+        return res
+
+    def test_builtin_clouds(self):
+        for make_config, penalties in (
+            (four_cluster_config, (1.0, 20.0, 74.0, 220.0)),
+            (ten_cluster_config, (0.05, 8.8, 50.0, 425.0)),
+        ):
+            cost = build_cost_matrix(sample_gaussian_mixture(make_config()))
+            p0 = ProbabilityVector.uniform(cost.shape[0])
+            for penalty in penalties:
+                res = self.assert_bounds(cost, p0, penalty)
+                # ADMM stops on its residuals; the gap says how far off it is
+                assert res.report.duality_gap <= 5e-3 * res.report.objective
+
+    def test_random_small_clouds(self):
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            n = int(rng.integers(1, 12))
+            points = rng.normal(size=(n, 2)) * 3
+            if n >= 4:
+                points[rng.integers(0, n)] = points[0]
+            weights = rng.random(n)
+            if n >= 3:
+                weights[rng.integers(0, n)] = 0.0
+            p0 = ProbabilityVector(weights / weights.sum())
+            cost = build_cost_matrix(PointCloud(points))
+            penalty = float(10 ** rng.uniform(-2, 2.5))
+            cfg = AdmmConfig(max_iterations=int(rng.integers(1, 2000)))
+            self.assert_bounds(cost, p0, penalty, cfg)
+
+    def test_two_sites_below_the_grid_optimum(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            cost = build_cost_matrix(PointCloud(rng.normal(size=(2, 2)) * 2))
+            w0 = float(rng.uniform(0.2, 0.8))
+            p0 = ProbabilityVector(np.array([w0, 1 - w0]))
+            penalty = float(rng.uniform(0.05, 2.0))
+            res = solve_son(cost, p0, penalty)
+            lower = res.report.objective - res.report.duality_gap
+            assert lower <= two_site_grid(cost, p0, penalty) + 1e-12
+
+    def test_other_methods_report_no_gap(self):
+        cost = build_cost_matrix(PointCloud(np.arange(8.0).reshape(4, 2)))
+        p0 = ProbabilityVector.uniform(4)
+        assert solve_facility_relaxation(cost, p0, 1.0).report.duality_gap is None
