@@ -20,7 +20,6 @@ from .datagen import (
 )
 from .facility import FacilityResult, solve_facility_relaxation
 from .linf import LinfResult, solve_linf
-from .lp import LinearProgram, LpSolution, solve_lp
 from .pointio import read_points, write_points
 from .son import (
     AdmmConfig,
@@ -42,9 +41,6 @@ __all__ = [
     "build_cost_matrix",
     "support_cardinality",
     "transport_cost",
-    "LinearProgram",
-    "LpSolution",
-    "solve_lp",
     "TransportResult",
     "solve_transport",
     "wasserstein2",

@@ -17,16 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusteringResult, adjusted_rand_index, extract_clusters
+from .clustering import ClusteringResult
 from .core import ProbabilityVector, build_cost_matrix
-from .datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
+from .datagen import BUILTIN_CONFIGS, builtin_config, sample_gaussian_mixture
 from .pointio import atomic_write_text, read_points, write_points
+from .son import AdmmConfig
 from .svg import emit_scatter_svg
 from .sweep import (
-    BUILTIN_DATASETS,
+    METHODS,
     ExperimentSpec,
     format_report_json,
     run_sweep,
+    solution_entry,
     solve_one,
     twelve_digits,
 )
@@ -56,24 +58,18 @@ def _emit_json(document, path):
         atomic_write_text(path, text)
 
 
-def _config_for(name, samples, seed):
-    maker = four_cluster_config if name == "four-cluster" else ten_cluster_config
-    overrides = {}
-    if samples is not None:
-        overrides["samples_per_component"] = samples
-    if seed is not None:
-        overrides["seed"] = seed
-    return maker(**overrides)
+def _admm(args) -> AdmmConfig:
+    return AdmmConfig(
+        eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iterations=args.max_iterations
+    )
 
 
 def _cmd_generate(args) -> int:
-    cloud = sample_gaussian_mixture(
-        _config_for(args.config, args.samples_per_component, args.seed)
-    )
+    config = builtin_config(args.config, args.samples_per_component, args.seed)
     target = _default_path(args.out, "points.csv")
     if target is None:
         raise SystemExit("generate needs --out or OTCLUST_OUTDIR")
-    write_points(cloud, target)
+    write_points(sample_gaussian_mixture(config), target)
     return 0
 
 
@@ -81,28 +77,13 @@ def _cmd_cluster(args) -> int:
     cloud = read_points(args.points)
     p0 = ProbabilityVector.uniform(cloud.size)
     cost = build_cost_matrix(cloud)
-    plan, report = solve_one(args, cost, p0, args.penalty)
-    clusters = extract_clusters(plan, tie_tol=args.tie_tol)
-    document = {
-        "method": args.method,
-        "lambda": twelve_digits(args.penalty),
-        "objective": twelve_digits(report.objective),
-        "status": report.status,
-        "iterations": int(report.iterations),
-        "cluster_count": int(clusters.cluster_count),
-        "representatives": sorted(int(j) for j in clusters.representatives),
-        "assignment": [int(j) for j in clusters.assignment],
-    }
-    if report.note:
-        document["note"] = report.note
-    if cloud.labels is not None:
-        document["ari"] = twelve_digits(
-            adjusted_rand_index(cloud.labels, clusters.assignment)
-        )
+    result = solve_one(args.method, _admm(args), cost, p0, args.penalty)
+    document, clusters = solution_entry(args.penalty, result, cloud.labels, args.tie_tol)
+    document.update(method=args.method, assignment=[int(j) for j in clusters.assignment])
     _emit_json(document, _default_path(args.out, f"cluster-{args.method}.json"))
     if args.svg is not None:
         emit_scatter_svg(cloud, clusters, Path(args.svg))
-    return 0 if report.status == "optimal" else 1
+    return 0 if document["status"] == "optimal" else 1
 
 
 def _parse_grid(args) -> tuple[float, ...]:
@@ -128,19 +109,19 @@ def _parse_grid(args) -> tuple[float, ...]:
 def _cmd_sweep(args) -> int:
     if (args.points is None) == (args.config is None):
         raise SystemExit("pass exactly one of --points or --config")
-    out_dir = args.out or os.environ.get(OUTDIR_VARIABLE)
-    spec = ExperimentSpec(
-        dataset=args.points if args.points is not None else args.config,
-        method=args.method,
-        lambda_grid=_parse_grid(args),
-        seed=args.seed,
-        output_directory=out_dir,
-        tie_tol=args.tie_tol,
-        max_iterations=args.max_iterations,
-        eps_abs=args.eps_abs,
-        eps_rel=args.eps_rel,
-        jobs=args.jobs,
-    )
+    try:
+        spec = ExperimentSpec(
+            dataset=args.points if args.points is not None else args.config,
+            method=args.method,
+            lambda_grid=_parse_grid(args),
+            seed=args.seed,
+            output_directory=args.out or os.environ.get(OUTDIR_VARIABLE),
+            tie_tol=args.tie_tol,
+            admm=_admm(args),
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
     report = run_sweep(spec)
     if report.path is None:
         sys.stdout.write(format_report_json(report.document))
@@ -194,16 +175,11 @@ def _tolerance(text):
     return value
 
 
-def _add_solver_flags(parser, with_penalty):
-    if with_penalty:
-        parser.add_argument(
-            "--lambda", dest="penalty", type=float, required=True,
-            help="sparsity penalty weight",
-        )
+def _add_solver_flags(parser):
     parser.add_argument("--tie-tol", type=_tolerance, default=1e-9)
-    parser.add_argument("--max-iterations", type=_positive_int, default=None)
-    parser.add_argument("--eps-abs", type=_tolerance, default=None)
-    parser.add_argument("--eps-rel", type=_tolerance, default=None)
+    parser.add_argument("--max-iterations", type=_positive_int, default=AdmmConfig.max_iterations)
+    parser.add_argument("--eps-abs", type=_tolerance, default=AdmmConfig.eps_abs)
+    parser.add_argument("--eps-rel", type=_tolerance, default=AdmmConfig.eps_rel)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     generate = commands.add_parser("generate", help="sample a builtin mixture to CSV")
-    generate.add_argument("--config", choices=BUILTIN_DATASETS, required=True)
-    generate.add_argument("--samples-per-component", type=int, default=None)
+    generate.add_argument("--config", choices=BUILTIN_CONFIGS, required=True)
+    generate.add_argument("--samples-per-component", type=_positive_int, default=None)
     generate.add_argument("--seed", type=int, default=None)
     generate.add_argument("--out", default=None)
     generate.set_defaults(handler=_cmd_generate)
@@ -224,22 +200,25 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = commands.add_parser("cluster", help="cluster one CSV at one penalty")
     cluster.add_argument("--points", required=True)
     cluster.add_argument("--method", choices=("son", "lp", "linf"), required=True)
-    _add_solver_flags(cluster, with_penalty=True)
+    cluster.add_argument(
+        "--lambda", dest="penalty", type=float, required=True, help="sparsity penalty weight"
+    )
+    _add_solver_flags(cluster)
     cluster.add_argument("--out", default=None)
     cluster.add_argument("--svg", default=None)
     cluster.set_defaults(handler=_cmd_cluster)
 
     sweep = commands.add_parser("sweep", help="run a penalty grid")
     sweep.add_argument("--points", default=None)
-    sweep.add_argument("--config", choices=BUILTIN_DATASETS, default=None)
-    sweep.add_argument("--method", choices=("son", "lp", "linf", "exact-omt"), required=True)
+    sweep.add_argument("--config", choices=BUILTIN_CONFIGS, default=None)
+    sweep.add_argument("--method", choices=METHODS, required=True)
     sweep.add_argument("--lambdas", default=None, help="comma-separated penalty values")
     sweep.add_argument("--log-grid", default=None, help="MIN,MAX,COUNT geometric grid")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--jobs", type=_positive_int, default=1)
-    _add_solver_flags(sweep, with_penalty=False)
+    _add_solver_flags(sweep)
     sweep.add_argument("--out", default=None)
-    sweep.set_defaults(handler=_cmd_sweep)
+    sweep.set_defaults(handler=_cmd_sweep, usage_error=sweep.error)
 
     plot = commands.add_parser("plot", help="render a stored clustering as SVG")
     plot.add_argument("--points", required=True)

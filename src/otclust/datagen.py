@@ -26,8 +26,10 @@ import numpy as np
 from .core import PointCloud
 
 __all__ = [
+    "BUILTIN_CONFIGS",
     "MixtureConfig",
     "RandomStream",
+    "builtin_config",
     "four_cluster_config",
     "ten_cluster_config",
     "sample_gaussian_mixture",
@@ -105,6 +107,17 @@ def ten_cluster_config(samples_per_component: int = 10, seed: int = 2) -> Mixtur
         samples_per_component=samples_per_component,
         seed=seed,
     )
+
+
+BUILTIN_CONFIGS = {"four-cluster": four_cluster_config, "ten-cluster": ten_cluster_config}
+
+
+def builtin_config(
+    name: str, samples_per_component: int | None = None, seed: int | None = None
+) -> MixtureConfig:
+    """The built-in mixture called name; a count or seed given overrides its default."""
+    overrides = {"samples_per_component": samples_per_component, "seed": seed}
+    return BUILTIN_CONFIGS[name](**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _splitmix64(value: int) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .clustering import adjusted_rand_index, extract_clusters
 from .core import PointCloud, ProbabilityVector, build_cost_matrix
-from .datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
+from .datagen import BUILTIN_CONFIGS, builtin_config, sample_gaussian_mixture
 from .facility import solve_facility_relaxation
 from .linf import solve_linf
 from .pointio import atomic_write_text, read_points
@@ -32,7 +32,6 @@ __all__ = ["ExperimentSpec", "SweepReport", "run_sweep", "format_report_json"]
 logger = logging.getLogger(__name__)
 
 METHODS = ("son", "lp", "linf", "exact-omt")
-BUILTIN_DATASETS = ("four-cluster", "ten-cluster")
 SCHEMA_VERSION = 1
 
 
@@ -46,9 +45,7 @@ class ExperimentSpec:
     seed: int | None = None
     output_directory: str | None = None
     tie_tol: float = 1e-9
-    max_iterations: int | None = None
-    eps_abs: float | None = None
-    eps_rel: float | None = None
+    admm: AdmmConfig = AdmmConfig()
     jobs: int = 1
 
     def __post_init__(self):
@@ -63,7 +60,8 @@ class ExperimentSpec:
             raise ValueError("jobs must be >= 1")
         if not (np.isfinite(self.tie_tol) and self.tie_tol >= 0):
             raise ValueError("tie_tol must be finite and nonnegative")
-        _admm_config(self)  # rejects bad solver settings before any solve
+        if self.seed is not None and self.dataset not in BUILTIN_CONFIGS:
+            raise ValueError("seed applies only to the built-in datasets")
         object.__setattr__(self, "lambda_grid", grid)
 
 
@@ -80,42 +78,21 @@ class SweepReport:
 
 def load_dataset(spec: ExperimentSpec) -> PointCloud:
     """Builtin config name or a CSV path."""
-    if spec.dataset == "four-cluster":
-        cfg = four_cluster_config() if spec.seed is None else four_cluster_config(seed=spec.seed)
-        return sample_gaussian_mixture(cfg)
-    if spec.dataset == "ten-cluster":
-        cfg = ten_cluster_config() if spec.seed is None else ten_cluster_config(seed=spec.seed)
-        return sample_gaussian_mixture(cfg)
+    if spec.dataset in BUILTIN_CONFIGS:
+        return sample_gaussian_mixture(builtin_config(spec.dataset, seed=spec.seed))
     return read_points(spec.dataset)
 
 
-def _admm_config(spec) -> AdmmConfig | None:
-    overrides = {}
-    if spec.max_iterations is not None:
-        overrides["max_iterations"] = spec.max_iterations
-    if spec.eps_abs is not None:
-        overrides["eps_abs"] = spec.eps_abs
-    if spec.eps_rel is not None:
-        overrides["eps_rel"] = spec.eps_rel
-    return AdmmConfig(**overrides) if overrides else None
-
-
-def solve_one(spec, cost, p0, penalty):
-    """(plan, report) of spec.method at one penalty. spec is an
-    ExperimentSpec, or the cluster command's parsed flags, which carry the
-    same method, max_iterations, eps_abs and eps_rel attributes."""
-    if spec.method == "son":
-        res = solve_son(cost, p0, penalty, config=_admm_config(spec))
-        return res.plan, res.report
-    if spec.method == "lp":
-        res = solve_facility_relaxation(cost, p0, penalty)
-        return res.plan, res.report
-    if spec.method == "linf":
-        res = solve_linf(cost, p0, penalty)
-        return res.plan, res.report
+def solve_one(method: str, admm: AdmmConfig, cost, p0, penalty):
+    """The solver result, with its plan and report, of method at one penalty."""
+    if method == "son":
+        return solve_son(cost, p0, penalty, config=admm)
+    if method == "lp":
+        return solve_facility_relaxation(cost, p0, penalty)
+    if method == "linf":
+        return solve_linf(cost, p0, penalty)
     # exact transport of the cloud onto itself; the penalty plays no role
-    res = solve_transport(cost, p0, p0)
-    return res.plan, res.report
+    return solve_transport(cost, p0, p0)
 
 
 def twelve_digits(value: float) -> float:
@@ -123,32 +100,37 @@ def twelve_digits(value: float) -> float:
     return float(f"{float(value):.12g}")
 
 
-def _result_entry(spec, cost, p0, labels, penalty):
-    started = time.perf_counter()
-    entry = {"lambda": twelve_digits(penalty)}
-    try:
-        plan, report = solve_one(spec, cost, p0, penalty)
-    except Exception as exc:
-        entry["status"] = "error"
-        entry["error"] = f"{type(exc).__name__}: {exc}"
-        logger.warning("penalty %g failed: %s", penalty, entry["error"])
-        return entry
-    clusters = extract_clusters(plan, tie_tol=spec.tie_tol)
-    entry["objective"] = twelve_digits(report.objective)
-    entry["status"] = report.status
-    entry["iterations"] = int(report.iterations)
-    entry["cluster_count"] = int(clusters.cluster_count)
-    entry["representatives"] = sorted(int(j) for j in clusters.representatives)
+def solution_entry(penalty, result, labels, tie_tol):
+    """The report entry of one solver result and the clusters it counts."""
+    report = result.report
+    clusters = extract_clusters(result.plan, tie_tol=tie_tol)
+    entry = {
+        "lambda": twelve_digits(penalty),
+        "objective": twelve_digits(report.objective),
+        "status": report.status,
+        "iterations": int(report.iterations),
+        "cluster_count": int(clusters.cluster_count),
+        "representatives": sorted(int(j) for j in clusters.representatives),
+    }
     if report.note:
         entry["note"] = report.note
     if labels is not None:
-        entry["ari"] = twelve_digits(
-            adjusted_rand_index(labels, clusters.assignment)
-        )
-    elapsed = time.perf_counter() - started
+        entry["ari"] = twelve_digits(adjusted_rand_index(labels, clusters.assignment))
+    return entry, clusters
+
+
+def _result_entry(spec, cost, p0, labels, penalty):
+    started = time.perf_counter()
+    try:
+        result = solve_one(spec.method, spec.admm, cost, p0, penalty)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        logger.warning("penalty %g failed: %s", penalty, error)
+        return {"lambda": twelve_digits(penalty), "status": "error", "error": error}
+    entry, clusters = solution_entry(penalty, result, labels, spec.tie_tol)
     logger.info(
         "%s penalty %g: %d clusters in %.3fs", spec.method, penalty,
-        clusters.cluster_count, elapsed,
+        clusters.cluster_count, time.perf_counter() - started,
     )
     return entry
 

@@ -121,13 +121,3 @@ def _staircase(p0: ProbabilityVector, p1: ProbabilityVector):
             j += 1
     return rows, cols, masses
 
-
-def northwest_corner(p0: ProbabilityVector, p1: ProbabilityVector) -> TransportPlan:
-    """Greedy staircase coupling; feasible, generally suboptimal.
-
-    At most size(p0) + size(p1) - 1 entries are nonzero.
-    """
-    rows, cols, masses = _staircase(p0, p1)
-    plan = np.zeros((p0.size, p1.size))
-    plan[rows, cols] = masses
-    return TransportPlan(plan, p0, p1, tolerance=1e-8)

@@ -2,7 +2,8 @@
 
 Nothing in here touches the solver code paths under test: linear programs
 are settled by enumerating basic solutions, transport instances by scanning
-permutations, projections by scanning thresholds. The facility relaxation
+permutations, projections by scanning thresholds, and `northwest_corner`
+fills the greedy staircase coupling cell by cell. The facility relaxation
 and linf's pinned-column transport program are written out in full for the
 generic simplex, as LP references for the cutting-plane and closed-form
 solvers, and `support_envelope` writes the envelope of the column count as
@@ -142,6 +143,29 @@ def inner_cost(cost, p0, index, t):
         raise ValueError("pinned mass must lie in [0, 1]")
     program = _ColumnProgram(cost, p0, index)
     return float(program.solve(t).objective_value)
+
+
+def northwest_corner(p0, p1):
+    """Greedy staircase coupling; feasible, generally suboptimal.
+
+    From cell (0, 0), each cell takes the smaller remaining marginal, and the
+    walk moves down when the row is used up, right otherwise. At most
+    size(p0) + size(p1) - 1 entries are nonzero.
+    """
+    a, b = p0.weights.copy(), p1.weights.copy()
+    plan = np.zeros((a.size, b.size))
+    i = j = 0
+    while True:
+        mass = min(a[i], b[j])
+        plan[i, j] = mass
+        a[i] -= mass
+        b[j] -= mass
+        if i == a.size - 1 and j == b.size - 1:
+            return TransportPlan(plan, p0, p1, tolerance=1e-8)
+        if j == b.size - 1 or (i < a.size - 1 and a[i] <= b[j]):
+            i += 1
+        else:
+            j += 1
 
 
 def permutation_transport_cost(cost):

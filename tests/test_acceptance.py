@@ -25,11 +25,11 @@ from otclust import (
     sample_gaussian_mixture,
     solve_facility_relaxation,
     solve_linf,
-    solve_lp,
     solve_son,
     solve_transport,
     support_cardinality,
 )
+from otclust.lp import solve_lp
 from otclust.cli import main
 
 from oracles import (

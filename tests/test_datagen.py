@@ -4,6 +4,7 @@ import pytest
 from otclust.datagen import (
     MixtureConfig,
     RandomStream,
+    builtin_config,
     four_cluster_config,
     sample_gaussian_mixture,
     ten_cluster_config,
@@ -11,6 +12,14 @@ from otclust.datagen import (
 
 
 class TestConfigs:
+    def test_builtin_config_overrides_only_what_is_given(self):
+        assert builtin_config("four-cluster") == four_cluster_config()
+        assert builtin_config("ten-cluster", seed=5) == ten_cluster_config(seed=5)
+        assert builtin_config("ten-cluster", 3) == ten_cluster_config(samples_per_component=3)
+        assert builtin_config("four-cluster", 2, 0) == four_cluster_config(2, seed=0)
+        with pytest.raises(KeyError):
+            builtin_config("five-cluster")
+
     def test_four_cluster_values(self):
         cfg = four_cluster_config()
         assert cfg.component_count == 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import otclust.lp
-from otclust import LinearProgram, solve_lp
+from otclust.lp import LinearProgram, solve_lp
 
 from oracles import enumerate_lp, program_from_rows
 

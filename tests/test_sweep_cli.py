@@ -8,6 +8,7 @@ import otclust.sweep
 from otclust.cli import main
 from otclust.core import PointCloud
 from otclust.pointio import read_points, write_points
+from otclust.son import AdmmConfig
 from otclust.sweep import ExperimentSpec, run_sweep
 
 SCHEMA_PATH = "src/otclust/schemas/sweep.schema.json"
@@ -64,15 +65,27 @@ class TestExperimentSpec:
         ],
     )
     def test_rejects_bad_solver_settings(self, field, value):
+        # tie_tol is the spec's own field; the ADMM settings reach it as one
+        # AdmmConfig, which rejects a bad value before the spec is built
+        setting = {field: value}
         with pytest.raises(ValueError, match=field):
-            ExperimentSpec(dataset="x.csv", method="son", lambda_grid=(1.0,), **{field: value})
+            ExperimentSpec(
+                dataset="x.csv", method="son", lambda_grid=(1.0,),
+                **(setting if field == "tie_tol" else {"admm": AdmmConfig(**setting)}),
+            )
 
     def test_accepts_boundary_solver_settings(self):
         spec = ExperimentSpec(
             dataset="x.csv", method="son", lambda_grid=(1.0,),
-            max_iterations=1, eps_abs=0.0, eps_rel=0.0,
+            admm=AdmmConfig(max_iterations=1, eps_abs=0.0, eps_rel=0.0),
         )
-        assert spec.max_iterations == 1
+        assert spec.admm.max_iterations == 1
+
+    def test_rejects_seed_for_csv_dataset(self):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec(dataset="x.csv", method="son", lambda_grid=(1.0,), seed=3)
+        spec = ExperimentSpec(dataset="ten-cluster", method="son", lambda_grid=(1.0,), seed=3)
+        assert spec.seed == 3
 
 
 class TestRunSweep:
@@ -171,6 +184,19 @@ class TestCli:
         cloud = read_points(a)
         assert cloud.points.shape == (8, 2)
         assert list(np.bincount(cloud.labels)) == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_generate_rejects_nonpositive_sample_count(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "generate", "--config", "four-cluster",
+                    "--samples-per-component", value, "--out", str(tmp_path / "p.csv"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--samples-per-component" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_generate_needs_destination(self, monkeypatch):
         monkeypatch.delenv("OTCLUST_OUTDIR", raising=False)
@@ -273,6 +299,44 @@ class TestCli:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
         assert solves == []
+
+    def test_sweep_rejects_seed_with_points(self, tmp_path, capsys, monkeypatch):
+        # read_points has no use for a seed, so the report must not claim one
+        solves = []
+        monkeypatch.setattr(otclust.sweep, "solve_one", lambda *args: solves.append(args))
+        csv_path = str(planted_csv(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--points", csv_path, "--method", "lp", "--lambdas", "1", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "seed" in capsys.readouterr().err
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "method, penalty, extra",
+        [
+            ("son", "2.0", []),
+            ("lp", "2.0", []),
+            ("linf", "2.0", []),
+            ("son", "2.0", ["--max-iterations", "1"]),
+        ],
+    )
+    def test_cluster_is_the_sweep_entry_plus_assignment(
+        self, tmp_path, capsys, monkeypatch, method, penalty, extra
+    ):
+        monkeypatch.delenv("OTCLUST_OUTDIR", raising=False)
+        csv_path = str(planted_csv(tmp_path))
+        cluster_code = main(
+            ["cluster", "--points", csv_path, "--method", method, "--lambda", penalty, *extra]
+        )
+        single = json.loads(capsys.readouterr().out)
+        sweep_code = main(
+            ["sweep", "--points", csv_path, "--method", method, "--lambdas", penalty, *extra]
+        )
+        (entry,) = json.loads(capsys.readouterr().out)["results"]
+        assert single.pop("method") == method
+        assert len(single.pop("assignment")) == 6
+        assert single == entry
+        assert cluster_code == sweep_code == (1 if extra else 0)
 
     def test_sweep_writes_report(self, tmp_path):
         csv_path = planted_csv(tmp_path)

@@ -10,15 +10,15 @@ from otclust import (
     build_cost_matrix,
     four_cluster_config,
     sample_gaussian_mixture,
-    solve_lp,
     solve_transport,
     ten_cluster_config,
     transport_cost,
     wasserstein2,
 )
-from otclust.transport import _staircase, northwest_corner, transport_program
+from otclust.lp import solve_lp
+from otclust.transport import _staircase, transport_program
 
-from oracles import permutation_transport_cost
+from oracles import northwest_corner, permutation_transport_cost
 
 
 class TestSolveTransport:
@@ -139,6 +139,9 @@ class TestNorthwestCorner:
             assert (rows[-1], cols[-1]) == (n - 1, m - 1)
             assert (np.diff(rows) + np.diff(cols) == 1).all()
             assert (masses >= 0.0).all()
+            plan = np.zeros((n, m))
+            plan[rows, cols] = masses
+            assert plan == pytest.approx(northwest_corner(p0, p1).entries, abs=1e-15)
 
     def test_never_beats_the_optimum(self):
         rng = np.random.default_rng(4)
