@@ -74,6 +74,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    if args.method == "linf" and args.penalty == 0:
+        args.usage_error("linf needs --lambda > 0")
     cloud = read_points(args.points)
     p0 = ProbabilityVector.uniform(cloud.size)
     cost = build_cost_matrix(cloud)
@@ -88,27 +90,27 @@ def _cmd_cluster(args) -> int:
 
 def _parse_grid(args) -> tuple[float, ...]:
     if (args.lambdas is None) == (args.log_grid is None):
-        raise SystemExit("pass exactly one of --lambdas or --log-grid")
+        raise ValueError("pass exactly one of --lambdas or --log-grid")
     if args.lambdas is not None:
         try:
             return tuple(float(part) for part in args.lambdas.split(","))
         except ValueError as exc:
-            raise SystemExit(f"bad --lambdas: {exc}")
+            raise ValueError(f"bad --lambdas: {exc}") from None
     parts = args.log_grid.split(",")
     if len(parts) != 3:
-        raise SystemExit("--log-grid wants MIN,MAX,COUNT")
+        raise ValueError("--log-grid wants MIN,MAX,COUNT")
     try:
         low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise SystemExit(f"bad --log-grid: {exc}")
+        raise ValueError(f"bad --log-grid: {exc}") from None
     if low <= 0 or high < low or count < 1:
-        raise SystemExit("--log-grid wants 0 < MIN <= MAX and COUNT >= 1")
+        raise ValueError("--log-grid wants 0 < MIN <= MAX and COUNT >= 1")
     return tuple(float(v) for v in np.geomspace(low, high, count))
 
 
 def _cmd_sweep(args) -> int:
     if (args.points is None) == (args.config is None):
-        raise SystemExit("pass exactly one of --points or --config")
+        args.usage_error("pass exactly one of --points or --config")
     try:
         spec = ExperimentSpec(
             dataset=args.points if args.points is not None else args.config,
@@ -168,7 +170,7 @@ def _positive_int(text):
     return value
 
 
-def _tolerance(text):
+def _nonnegative(text):
     value = float(text)
     if not (np.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
@@ -176,10 +178,10 @@ def _tolerance(text):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--tie-tol", type=_tolerance, default=1e-9)
+    parser.add_argument("--tie-tol", type=_nonnegative, default=1e-9)
     parser.add_argument("--max-iterations", type=_positive_int, default=AdmmConfig.max_iterations)
-    parser.add_argument("--eps-abs", type=_tolerance, default=AdmmConfig.eps_abs)
-    parser.add_argument("--eps-rel", type=_tolerance, default=AdmmConfig.eps_rel)
+    parser.add_argument("--eps-abs", type=_nonnegative, default=AdmmConfig.eps_abs)
+    parser.add_argument("--eps-rel", type=_nonnegative, default=AdmmConfig.eps_rel)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--points", required=True)
     cluster.add_argument("--method", choices=("son", "lp", "linf"), required=True)
     cluster.add_argument(
-        "--lambda", dest="penalty", type=float, required=True, help="sparsity penalty weight"
+        "--lambda", dest="penalty", type=_nonnegative, required=True, help="sparsity penalty weight"
     )
     _add_solver_flags(cluster)
     cluster.add_argument("--out", default=None)
     cluster.add_argument("--svg", default=None)
-    cluster.set_defaults(handler=_cmd_cluster)
+    cluster.set_defaults(handler=_cmd_cluster, usage_error=cluster.error)
 
     sweep = commands.add_parser("sweep", help="run a penalty grid")
     sweep.add_argument("--points", default=None)

@@ -232,6 +232,6 @@ def solve_facility_relaxation(
         raise ValueError("cost matrix must be square for self-transport")
     if p0.size != n:
         raise ValueError("marginal size does not match the cost matrix")
-    if penalty < 0:
-        raise ValueError("penalty must be nonnegative")
+    if not (np.isfinite(penalty) and penalty >= 0):
+        raise ValueError("penalty must be finite and nonnegative")
     return _solve_by_cuts(cost, p0, penalty)

@@ -15,8 +15,10 @@ or at sqrt(penalty / slope) clipped into the segment, so every column's
 minimum over t in (0, 1] is exact; the relaxation value is the best over
 columns, lowest index on ties.
 
-One simplex solve of the winning column's program, started from the greedy
-fill as its basis, yields the witness plan and certifies the closed form.
+One simplex solve of the winning column's program yields the witness plan
+and certifies the closed form. It starts from the greedy fill, which is the
+northwest-corner staircase of the column and the rows' cheapest other
+destinations, so it takes no pivots.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .core import (
     TransportPlan,
 )
 from .lp import LinearProgram, solve_lp
+from .transport import _staircase
 
-_BOUNDARY_SLACK = 1e-12
 _CERTIFY_RTOL = 1e-9
 
 
@@ -66,7 +68,9 @@ def _pulls(costs: np.ndarray):
 def _column_minima(costs: np.ndarray, weights: np.ndarray, penalty: float):
     """Exact min over t in (0, 1] of g_i(t) + penalty / t for every column i.
 
-    Returns (minimum values, minimizing masses), one entry per column.
+    Returns (minimum values, minimizing masses) per column, then the tables
+    alt and order: column i fills from rows order[:, i] (ascending pull) and
+    row j sends the rest of its mass to alt[j, i].
     """
     n = weights.size
     alt, pull = _pulls(costs)
@@ -90,80 +94,36 @@ def _column_minima(costs: np.ndarray, weights: np.ndarray, penalty: float):
     values = (g_starts + slopes * (t - starts) + reciprocal).reshape(2 * n, n)
     best = np.argmin(values, axis=0)
     columns = np.arange(n)
-    return values[best, columns], t.reshape(2 * n, n)[best, columns]
+    return values[best, columns], t.reshape(2 * n, n)[best, columns], alt, order
 
 
-class _ColumnProgram:
-    """Transport program with row sums p0 and mass t pinned on one column.
+def _witness(costs, weights, index, t, alt, order):
+    """Simplex solve of the transport program with row sums `weights` and
+    mass t pinned on column `index`, started from the greedy fill.
 
-    The greedy fill of the column in ascending pull order is an optimal
-    basic solution; it is handed to the simplex as the starting basis, which
-    then certifies optimality (or, if the construction were ever off, pivots
-    to the true optimum).
+    The fill is the northwest-corner staircase of a two-destination
+    transport: the rows, in fill order `order`, onto column index (mass t)
+    and onto their cheapest other column `alt` (mass 1 - t). Its cells are
+    an optimal basis, so the simplex only certifies it.
     """
-
-    def __init__(self, cost: CostMatrix, p0: ProbabilityVector, index: int):
-        self.n = cost.shape[0]
-        self.index = index
-        self.costs = cost.entries
-        self.weights = p0.weights
-        if self.n > 1:
-            alt, pull = _pulls(self.costs)
-            self.alt_cols = alt[:, index]
-            self.fill_order = np.argsort(pull[:, index], kind="stable")
-
-    def _starting_basis(self, t: float) -> np.ndarray:
-        """Basic columns of the greedy fill: one carrier per row plus the
-        boundary entry that completes the square basis."""
-        n = self.n
-        order = self.fill_order
-        carriers = order * n + self.alt_cols[order]
-        basis = np.empty(n + 1, dtype=np.int64)
-        remaining = t
-        extra = None
-        for pos, row in enumerate(order):
-            w = float(self.weights[row])
-            if remaining > _BOUNDARY_SLACK and remaining >= w - _BOUNDARY_SLACK:
-                basis[pos] = row * n + self.index
-                remaining -= w
-            elif remaining > _BOUNDARY_SLACK:
-                # the split row carries mass on both destinations
-                basis[pos] = carriers[pos]
-                extra = row * n + self.index
-                remaining = 0.0
-            else:
-                basis[pos] = carriers[pos]
-        if extra is None:
-            # t landed on a fill boundary; complete with a zero-level entry
-            to_index = basis[:n] % n == self.index
-            if to_index.all():
-                extra = carriers[0]
-            else:
-                first_off = int(np.flatnonzero(~to_index)[0])
-                extra = order[first_off] * n + self.index
-        basis[n] = extra
-        return basis
-
-    def solve(self, t: float):
-        n = self.n
-        # entry (j, k) is column j * n + k, in row j and, for k = index, row n
-        width = np.ones((n, n), dtype=np.int64)
-        width[:, self.index] = 2
-        rowidx = np.stack([np.repeat(np.arange(n), n), np.full(n * n, n)], axis=1)
-        lp = LinearProgram(
-            objective=self.costs.reshape(-1).astype(float),
-            colptr=np.concatenate([[0], np.cumsum(width)]),
-            rowidx=rowidx[width.ravel()[:, None] > np.arange(2)],
-            vals=np.ones(int(width.sum())),
-            rhs=np.concatenate([self.weights, [t]]),
-        )
-        initial = self._starting_basis(t) if n > 1 else None
-        solution = solve_lp(lp, initial_basis=initial)
-        if solution.status != STATUS_OPTIMAL:
-            raise RuntimeError(
-                f"pinned-column program ended with {solution.status} at t={t}"
-            )
-        return solution
+    n = weights.size
+    # entry (j, k) is column j * n + k, in row j and, for k = index, row n
+    width = np.ones((n, n), dtype=np.int64)
+    width[:, index] = 2
+    rowidx = np.stack([np.repeat(np.arange(n), n), np.full(n * n, n)], axis=1)
+    lp = LinearProgram(
+        objective=costs.reshape(-1).astype(float),
+        colptr=np.concatenate([[0], np.cumsum(width)]),
+        rowidx=rowidx[width.ravel()[:, None] > np.arange(2)],
+        vals=np.ones(int(width.sum())),
+        rhs=np.concatenate([weights, [t]]),
+    )
+    steps, sides, _ = _staircase(weights[order], np.array([t, 1.0 - t]))
+    rows = order[steps]
+    solution = solve_lp(lp, initial_basis=rows * n + np.where(sides == 0, index, alt[rows]))
+    if solution.status != STATUS_OPTIMAL:
+        raise RuntimeError(f"pinned-column program ended with {solution.status} at t={t}")
+    return solution
 
 
 def solve_linf(
@@ -183,8 +143,8 @@ def solve_linf(
         raise ValueError("cost matrix must be square for self-transport")
     if p0.size != n:
         raise ValueError("marginal size does not match the cost matrix")
-    if penalty <= 0:
-        raise ValueError("penalty must be positive")
+    if not (np.isfinite(penalty) and penalty > 0):
+        raise ValueError("penalty must be finite and positive")
 
     if n == 1:
         plan = TransportPlan(p0.weights.reshape(1, 1).copy(), p0)
@@ -198,11 +158,12 @@ def solve_linf(
             per_index_values=np.array([value]),
         )
 
-    per_index, masses = _column_minima(cost.entries, p0.weights, penalty)
+    per_index, masses, alt, order = _column_minima(cost.entries, p0.weights, penalty)
     best_index = int(np.argmin(per_index))
     best_mass = float(masses[best_index])
     objective = float(per_index[best_index])
-    witness = _ColumnProgram(cost, p0, best_index).solve(best_mass)
+    witness = _witness(cost.entries, p0.weights, best_index, best_mass,
+                       alt[:, best_index], order[:, best_index])
     certified = witness.objective_value + penalty / best_mass
     if abs(certified - objective) > _CERTIFY_RTOL * abs(objective):
         raise RuntimeError(

@@ -238,8 +238,8 @@ def solve_son(
         raise ValueError("cost matrix must be square for self-transport")
     if p0.size != n:
         raise ValueError("marginal size does not match the cost matrix")
-    if penalty < 0:
-        raise ValueError("penalty must be nonnegative")
+    if not (np.isfinite(penalty) and penalty >= 0):
+        raise ValueError("penalty must be finite and nonnegative")
 
     C = cost.entries
     weights = p0.weights

@@ -68,7 +68,7 @@ def solve_transport(
     """
     n, m = cost.shape
     lp = transport_program(cost, p0, p1)
-    rows, cols, _ = _staircase(p0, p1)
+    rows, cols, _ = _staircase(p0.weights, p1.weights)
     sol = solve_lp(lp, initial_basis=rows * m + cols)
     if sol.status != STATUS_OPTIMAL:
         raise RuntimeError(f"transport solve ended with status {sol.status!r}")
@@ -96,15 +96,15 @@ def wasserstein2(
     return value, float(np.sqrt(value))
 
 
-def _staircase(p0: ProbabilityVector, p1: ProbabilityVector):
+def _staircase(row_weights: np.ndarray, col_weights: np.ndarray):
     """The northwest-corner walk: (rows, cols, masses) of its n + m - 1 cells.
 
     Starting at (0, 0), each cell takes the smaller remaining marginal and the
     walk moves down when the row is exhausted (ties included), right
     otherwise, until it reaches (n - 1, m - 1).
     """
-    a = p0.weights.copy()
-    b = p1.weights.copy()
+    a = np.array(row_weights, dtype=float)
+    b = np.array(col_weights, dtype=float)
     n, m = a.size, b.size
     rows = np.empty(n + m - 1, dtype=np.int64)
     cols = np.empty(n + m - 1, dtype=np.int64)

@@ -27,7 +27,6 @@ from otclust.core import (
     TransportPlan,
     transport_cost,
 )
-from otclust.linf import _ColumnProgram
 from otclust.lp import LinearProgram, solve_lp
 from otclust.son import (
     _BALANCING_FACTOR,
@@ -128,9 +127,12 @@ def facility_lp(cost, weights, penalty):
 
 def inner_cost(cost, p0, index, t):
     """Cheapest transport with row sums p0 and exactly mass t on one column,
-    solved as an LP.
+    solved as an LP with every entry written out.
 
-    Convex piecewise-linear in t on [0, 1].
+    Convex piecewise-linear in t on [0, 1]. The start basis only saves
+    pivots: it fills the column row by row in index order and sends the
+    rest of each row to its cheapest other column, and solve_lp prices every
+    column from there.
     """
     n = cost.shape[0]
     if cost.shape[1] != n:
@@ -141,8 +143,27 @@ def inner_cost(cost, p0, index, t):
         raise ValueError("column index out of range")
     if not 0.0 <= t <= 1.0:
         raise ValueError("pinned mass must lie in [0, 1]")
-    program = _ColumnProgram(cost, p0, index)
-    return float(program.solve(t).objective_value)
+    C = cost.entries
+    # entry (j, k) is column j * n + k; row n sums column `index`
+    rows = [[(j * n + k, 1.0) for k in range(n)] for j in range(n)]
+    rows.append([(j * n + index, 1.0) for j in range(n)])
+    program = program_from_rows(C.reshape(-1), rows, np.append(p0.weights, t))
+    other = np.where(np.arange(n) == index, np.inf, C).argmin(axis=1)
+    left, rest = p0.weights.copy(), [t, 1.0 - t]
+    basis, j, side = [], 0, 0
+    while len(basis) < n + 1:
+        basis.append(j * n + (index if side == 0 else other[j]))
+        mass = min(left[j], rest[side])
+        left[j] -= mass
+        rest[side] -= mass
+        if side == 1 or (j < n - 1 and left[j] <= rest[0]):
+            j += 1
+        else:
+            side = 1
+    solution = solve_lp(program, initial_basis=basis)
+    if solution.status != STATUS_OPTIMAL:
+        raise RuntimeError(f"pinned-column LP ended with {solution.status}")
+    return float(solution.objective_value)
 
 
 def northwest_corner(p0, p1):

@@ -9,6 +9,7 @@ from otclust import (
     sample_gaussian_mixture,
     transport_cost,
 )
+from otclust.datagen import builtin_config
 from otclust import linf
 from otclust.linf import LinfResult, _column_minima, solve_linf
 
@@ -244,7 +245,7 @@ class TestClosedForm:
             for trial in range(4):
                 cost, p0 = edge_instance(rng, n)
                 penalty = float([0.05, 0.5, 5.0, 50.0][trial])
-                values, masses = _column_minima(cost.entries, p0.weights, penalty)
+                values, masses, _, _ = _column_minima(cost.entries, p0.weights, penalty)
                 res = solve_linf(cost, p0, penalty)
                 assert np.array_equal(res.per_index_values, values)
                 for i in range(n):
@@ -294,3 +295,49 @@ class TestClosedForm:
         assert oracle + penalty / res.best_mass == pytest.approx(
             res.report.objective, rel=1e-9
         )
+
+
+class TestWitnessStart:
+    """The staircase of the fill is an optimal basis of the witness program,
+    so the simplex certifies it without a pivot."""
+
+    @staticmethod
+    def count_pivots(monkeypatch):
+        pivots = []
+        original = linf.solve_lp
+
+        def counting(*args, **kwargs):
+            solution = original(*args, **kwargs)
+            pivots.append(solution.pivots)
+            return solution
+
+        monkeypatch.setattr(linf, "solve_lp", counting)
+        return pivots
+
+    @pytest.mark.parametrize("name, low", [("four-cluster", 1.0), ("ten-cluster", 0.05)])
+    def test_acceptance_grid_takes_no_pivots(self, monkeypatch, name, low):
+        cloud = sample_gaussian_mixture(builtin_config(name))
+        cost = build_cost_matrix(cloud)
+        p0 = ProbabilityVector.uniform(cloud.size)
+        pivots = self.count_pivots(monkeypatch)
+        masses = [solve_linf(cost, p0, float(penalty)).best_mass
+                  for penalty in np.geomspace(low, 2000.0, 30)]
+        assert pivots == [0] * 30
+        assert 1.0 in masses and min(masses) < 1.0
+
+    def test_edge_instances_take_no_pivots(self, monkeypatch):
+        # duplicate points, zero weights, n = 2 and t* = 1 on one fill boundary
+        pivots = self.count_pivots(monkeypatch)
+        rng = np.random.default_rng(31)
+        masses = []
+        for n in range(2, 9):
+            for penalty in (0.05, 0.5, 5.0, 50.0):
+                cost, p0 = edge_instance(rng, n)
+                masses.append(solve_linf(cost, p0, penalty).best_mass)
+        pair = build_cost_matrix(PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]])))
+        for penalty in (0.3, 0.8, 1.5):
+            masses.append(solve_linf(pair, ProbabilityVector.uniform(2), penalty).best_mass)
+        coincide = build_cost_matrix(PointCloud(np.zeros((3, 2))))
+        masses.append(solve_linf(coincide, ProbabilityVector.uniform(3), 1.0).best_mass)
+        assert pivots == [0] * len(masses)
+        assert 1.0 in masses and min(masses) < 1.0

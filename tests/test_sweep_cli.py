@@ -4,12 +4,13 @@ import jsonschema
 import numpy as np
 import pytest
 
+import otclust.cli
 import otclust.sweep
 from otclust.cli import main
-from otclust.core import PointCloud
+from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix
 from otclust.pointio import read_points, write_points
 from otclust.son import AdmmConfig
-from otclust.sweep import ExperimentSpec, run_sweep
+from otclust.sweep import ExperimentSpec, run_sweep, solve_one
 
 SCHEMA_PATH = "src/otclust/schemas/sweep.schema.json"
 
@@ -168,6 +169,17 @@ class TestRunSweep:
             run_sweep(spec)
 
 
+
+@pytest.mark.parametrize("method", ["son", "lp", "linf"])
+@pytest.mark.parametrize("penalty", [np.nan, np.inf])
+def test_solvers_reject_nonfinite_penalty(tmp_path, method, penalty):
+    cloud = read_points(planted_csv(tmp_path))
+    cost = build_cost_matrix(cloud)
+    p0 = ProbabilityVector.uniform(cloud.size)
+    with pytest.raises(ValueError, match="finite"):
+        solve_one(method, AdmmConfig(), cost, p0, penalty)
+
+
 class TestCli:
     def test_generate_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -237,26 +249,45 @@ class TestCli:
         assert code == 1
         assert json.loads(out.read_text())["status"] == "max_iterations"
 
-    def test_sweep_grid_flag_validation(self, tmp_path):
+    def test_sweep_grid_flag_validation(self, tmp_path, monkeypatch):
+        solves = []
+        monkeypatch.setattr(otclust.sweep, "solve_one", lambda *args: solves.append(args))
         csv_path = str(planted_csv(tmp_path))
-        with pytest.raises(SystemExit):
-            main(["sweep", "--points", csv_path, "--method", "lp"])
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "sweep", "--points", csv_path, "--method", "lp",
-                    "--lambdas", "1,2", "--log-grid", "1,10,3",
-                ]
-            )
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "sweep", "--points", csv_path, "--method", "lp",
-                    "--log-grid", "0,10,3",
-                ]
-            )
-        with pytest.raises(SystemExit):
-            main(["sweep", "--method", "lp", "--lambdas", "1"])
+        for flags in (
+            ["--points", csv_path, "--method", "lp"],
+            ["--points", csv_path, "--method", "lp", "--lambdas", "1,2", "--log-grid", "1,10,3"],
+            ["--points", csv_path, "--method", "lp", "--log-grid", "0,10,3"],
+            ["--points", csv_path, "--method", "lp", "--log-grid", "1,10"],
+            ["--points", csv_path, "--method", "lp", "--log-grid", "1,10,x"],
+            ["--points", csv_path, "--method", "lp", "--lambdas", "x"],
+            ["--method", "lp", "--lambdas", "1"],
+            ["--points", csv_path, "--config", "four-cluster", "--method", "lp", "--lambdas", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", *flags])
+            assert exc.value.code == 2, flags
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "method, value",
+        [
+            ("son", "-1"),
+            ("son", "nan"),
+            ("lp", "inf"),
+            ("lp", "-0.5"),
+            ("linf", "0"),
+            ("linf", "nan"),
+        ],
+    )
+    def test_cluster_bad_penalty_is_usage_error(self, tmp_path, capsys, monkeypatch, method, value):
+        solves = []
+        monkeypatch.setattr(otclust.cli, "solve_one", lambda *args: solves.append(args))
+        csv_path = str(planted_csv(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--points", csv_path, "--method", method, "--lambda", value])
+        assert exc.value.code == 2
+        assert "--lambda" in capsys.readouterr().err
+        assert solves == []
 
     @pytest.mark.parametrize("command", ["cluster", "sweep"])
     @pytest.mark.parametrize(

@@ -132,7 +132,7 @@ class TestNorthwestCorner:
                 continue
             p0 = ProbabilityVector(w0 / w0.sum())
             p1 = ProbabilityVector(w1 / w1.sum())
-            rows, cols, masses = _staircase(p0, p1)
+            rows, cols, masses = _staircase(p0.weights, p1.weights)
             assert rows.size == n + m - 1
             assert len(set(zip(rows.tolist(), cols.tolist()))) == n + m - 1
             assert (rows[0], cols[0]) == (0, 0)
