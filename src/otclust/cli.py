@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,15 @@ def _emit_json(document, path):
         atomic_write_text(path, text)
 
 
+@contextmanager
+def _input_checks(args):
+    """A file that cannot be read or does not fit is a usage error, exit 2."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        args.usage_error(str(exc))
+
+
 def _admm(args) -> AdmmConfig:
     return AdmmConfig(
         eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iterations=args.max_iterations
@@ -76,7 +86,8 @@ def _cmd_generate(args) -> int:
 def _cmd_cluster(args) -> int:
     if args.method == "linf" and args.penalty == 0:
         args.usage_error("linf needs --lambda > 0")
-    cloud = read_points(args.points)
+    with _input_checks(args):
+        cloud = read_points(args.points)
     p0 = ProbabilityVector.uniform(cloud.size)
     cost = build_cost_matrix(cloud)
     result = solve_one(args.method, _admm(args), cost, p0, args.penalty)
@@ -131,12 +142,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    cloud = read_points(args.points)
-    with open(args.result) as stream:
-        stored = json.load(stream)
-    if "assignment" not in stored:
-        raise SystemExit(f"{args.result} carries no per-point assignment")
-    assignment = np.asarray(stored["assignment"], dtype=int)
+    with _input_checks(args):
+        cloud = read_points(args.points)
+        with open(args.result) as stream:
+            stored = json.load(stream)
+        if "assignment" not in stored:
+            raise ValueError(f"{args.result} carries no per-point assignment")
+        assignment = np.asarray(stored["assignment"], dtype=int)
+        if assignment.shape != (cloud.size,):
+            raise ValueError(f"{args.result}: {assignment.size} assignments, {cloud.size} points")
     clusters = ClusteringResult(
         representatives=frozenset(int(j) for j in np.unique(assignment)),
         assignment=assignment,
@@ -150,8 +164,11 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_omt(args) -> int:
-    source = read_points(args.source)
-    target = read_points(args.target)
+    with _input_checks(args):
+        source = read_points(args.source)
+        target = read_points(args.target)
+        if source.dimension != target.dimension:
+            raise ValueError(f"dimension mismatch: {source.dimension} vs {target.dimension}")
     cost, distance = wasserstein2(source, target)
     document = {
         "source": str(args.source),
@@ -226,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--points", required=True)
     plot.add_argument("--result", required=True)
     plot.add_argument("--out", default=None)
-    plot.set_defaults(handler=_cmd_plot)
+    plot.set_defaults(handler=_cmd_plot, usage_error=plot.error)
 
     omt = commands.add_parser("omt", help="exact transport between two CSV clouds")
     omt.add_argument("--source", required=True)
     omt.add_argument("--target", required=True)
     omt.add_argument("--out", default=None)
-    omt.set_defaults(handler=_cmd_omt)
+    omt.set_defaults(handler=_cmd_omt, usage_error=omt.error)
     return parser
 
 

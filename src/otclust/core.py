@@ -22,7 +22,6 @@ SUPPORT_RELATIVE_THRESHOLD = 1e-6
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
-STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 
 
@@ -181,7 +180,7 @@ class TransportPlan:
 class SolveReport:
     """Uniform solver telemetry.
 
-    status is one of "optimal", "max_iterations", "infeasible", "unbounded".
+    status is one of "optimal", "max_iterations", "unbounded".
     The residual fields are populated by the ADMM path only; `note` carries
     warnings such as non-unique openings. duality_gap is set by `son` only:
     objective minus the value of a feasible point of its dual, so the true

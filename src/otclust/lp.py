@@ -1,4 +1,4 @@
-"""Dense two-phase revised simplex over a column-compressed constraint matrix.
+"""Dense revised simplex over a column-compressed constraint matrix.
 
 Standard form is min c.x subject to A x = b, x >= 0 with b >= 0. The solver
 keeps an explicit basis inverse, updates it rank-1 per pivot, and rebuilds it
@@ -7,15 +7,9 @@ Dantzig (most negative reduced cost, lowest index on ties); after
 3 * constraint_count consecutive degenerate pivots it switches to Bland's
 rule until a nondegenerate step occurs, which guarantees termination.
 
-The crash basis takes a positive singleton column as the slack of each row
-it can. When some rows are left uncovered, the program gets one artificial
-unit column per such row, and phase 1 is an ordinary solve of that
-augmented program with cost 1 on the artificials; phase 2 solves the same
-program with the original costs and cost 0 on them. Artificial columns never
-reenter the basis once they leave, and one still basic at level zero leaves
-by a zero step as soon as the entering column has a nonzero entry in its
-row. One still basic at the end stays at zero, as it must on a redundant
-row, so the result keeps one dual value and one basis entry per row.
+There is no phase 1: a solve starts from a primal feasible basis, either the
+caller's or the crash basis, which takes the first positive singleton column
+of each row as its slack. A program with neither is rejected.
 """
 
 from __future__ import annotations
@@ -24,17 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    STATUS_INFEASIBLE,
-    STATUS_MAX_ITERATIONS,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-)
+from .core import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, STATUS_UNBOUNDED
 
 _DEGENERATE_STEP = 1e-12
 _PIVOT_TOLERANCE = 1e-9
 _RATIO_TOLERANCE = 1e-9
-_PHASE1_TOLERANCE = 1e-7
 _REFACTOR_EVERY = 50
 # a solve may take this many pivots per variable and constraint
 _PIVOT_BUDGET_FACTOR = 50
@@ -117,15 +105,8 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A solve's result; dual holds the row prices of an optimal basis and
-    is None for any other status.
-
-    basis names one column per row. An id at or past the program's
-    variable_count is an artificial unit column left basic at level zero:
-    on a redundant row (a combination of other rows) it must stay, and at a
-    degenerate vertex it may. Its row's dual is 0, and solve_lp does not take
-    a basis holding such an id as initial_basis.
-    """
+    """A solve's result; basis names one column per row, and dual holds the
+    row prices of an optimal basis and is None for any other status."""
 
     primal: np.ndarray
     objective_value: float
@@ -174,17 +155,11 @@ class _SimplexState:
             self.refactor()
 
 
-def _run_simplex(state: _SimplexState, cost: np.ndarray, priced: int) -> str:
-    """Iterate to optimality for the given costs.
-
-    Only the first `priced` columns may enter; the rest are artificial. An
-    artificial basic at level zero (within the phase-1 tolerance) leaves by
-    a zero step whenever the entering column has a nonzero entry in its row,
-    so it never carries mass.
-    """
+def _run_simplex(state: _SimplexState) -> str:
+    """Iterate to optimality for the program's costs."""
+    cost = state.lp.objective
     # reduced costs carry rounding in proportion to the costs themselves
     tolerance = _PIVOT_TOLERANCE * max(1.0, float(np.abs(cost).max()))
-    has_artificials = priced < state.lp.variable_count
     bland_trigger = 3 * state.lp.constraint_count
     degenerate_run = 0
     use_bland = False
@@ -194,7 +169,6 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, priced: int) -> str:
         y = cost[state.basis] @ state.binv
         reduced = cost - state.lp.transpose_dot(y)
         reduced[state.in_basis] = np.inf
-        reduced[priced:] = np.inf
         if use_bland:
             candidates = np.flatnonzero(reduced < -tolerance)
             if candidates.size == 0:
@@ -205,21 +179,13 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, priced: int) -> str:
             if reduced[entering] >= -tolerance:
                 return STATUS_OPTIMAL
         d = state.binv @ state.lp.column(entering)
-        stuck = ()
-        if has_artificials:
-            stuck = np.flatnonzero((state.basis >= priced)
-                                   & (state.xb <= _PHASE1_TOLERANCE)
-                                   & (np.abs(d) > _PIVOT_TOLERANCE))
-        if len(stuck):
-            leave_pos, theta = int(stuck[0]), 0.0
-        else:
-            blocking = np.flatnonzero(d > _RATIO_TOLERANCE)
-            if blocking.size == 0:
-                return STATUS_UNBOUNDED
-            ratios = np.maximum(state.xb[blocking], 0.0) / d[blocking]
-            ties = blocking[ratios <= ratios.min() * (1.0 + 1e-12) + 1e-15]
-            leave_pos = int(ties[np.argmin(state.basis[ties])])
-            theta = max(state.xb[leave_pos], 0.0) / d[leave_pos]
+        blocking = np.flatnonzero(d > _RATIO_TOLERANCE)
+        if blocking.size == 0:
+            return STATUS_UNBOUNDED
+        ratios = np.maximum(state.xb[blocking], 0.0) / d[blocking]
+        ties = blocking[ratios <= ratios.min() * (1.0 + 1e-12) + 1e-15]
+        leave_pos = int(ties[np.argmin(state.basis[ties])])
+        theta = max(state.xb[leave_pos], 0.0) / d[leave_pos]
         state.pivot(entering, leave_pos, d, theta)
         if theta <= _DEGENERATE_STEP:
             degenerate_run += 1
@@ -230,72 +196,40 @@ def _run_simplex(state: _SimplexState, cost: np.ndarray, priced: int) -> str:
             use_bland = False
 
 
-def _solution(state: _SimplexState, status: str, n: int) -> LpSolution:
-    """The result over the first n columns, with row duals when optimal."""
-    if state.updated_since_refactor:
-        state.refactor()
-    x = np.zeros(state.lp.variable_count)
-    x[state.basis] = state.xb
-    x = x[:n]
-    cost = state.lp.objective
-    dual = cost[state.basis] @ state.binv if status == STATUS_OPTIMAL else None
-    objective = -np.inf if status == STATUS_UNBOUNDED else float(cost[:n] @ x)
-    return LpSolution(x, objective, state.basis.copy(), status, dual, state.pivots)
-
-
 def solve_lp(lp: LinearProgram, initial_basis=None) -> LpSolution:
-    """Solve a standard-form program.
+    """Solve a standard-form program from a primal feasible basis.
 
-    An optional initial_basis (iterable of structural column ids, one per
-    row) is adopted directly when it is nonsingular and primal feasible;
-    otherwise the solver falls back to a fresh phase 1. Resolving from an
-    optimal basis of structural columns therefore costs zero pivots.
+    The start is initial_basis (column ids, one per row) when given, else
+    the crash basis. ValueError is raised when there is no crash
+    basis, or when the start is singular or not primal feasible. Resolving
+    from an optimal basis therefore costs zero pivots.
     """
     m, n = lp.constraint_count, lp.variable_count
-    budget = _PIVOT_BUDGET_FACTOR * (n + m)
-
-    state = None
-    if initial_basis is not None:
-        basis = np.asarray(list(initial_basis), dtype=np.int64)
+    if initial_basis is None:
+        # crash: the first positive singleton column of each row
+        singles = np.flatnonzero(np.diff(lp.colptr) == 1)
+        singles = singles[lp.vals[lp.colptr[singles]] > 0]
+        rows, first = np.unique(lp.rowidx[lp.colptr[singles]], return_index=True)
+        if rows.size < m:
+            missing = int(np.setdiff1d(np.arange(m), rows)[0])
+            raise ValueError(f"row {missing} has no positive singleton column and no basis")
+        basis = singles[first]
+    else:
+        basis = np.array(list(initial_basis), dtype=np.int64)
         if basis.shape != (m,) or (basis < 0).any() or (basis >= n).any():
-            raise ValueError("initial basis must name one structural column per row")
-        try:
-            candidate = _SimplexState(lp, basis.copy(), budget)
-        except RuntimeError:
-            candidate = None
-        if candidate is not None and candidate.xb.min() >= -_RATIO_TOLERANCE:
-            state = candidate
-
-    if state is None:
-        basis = np.empty(m, dtype=np.int64)
-        covered = np.zeros(m, dtype=bool)
-        # crash: adopt singleton positive columns as ready-made slacks
-        width = np.diff(lp.colptr)
-        for j in np.flatnonzero(width == 1):
-            k = lp.colptr[j]
-            r, v = int(lp.rowidx[k]), float(lp.vals[k])
-            if v > 0 and not covered[r]:
-                covered[r] = True
-                basis[r] = j
-        uncovered = np.flatnonzero(~covered)
-        extra = uncovered.size
-        if extra:
-            # [A | I] with one artificial unit column per uncovered row
-            lp = LinearProgram(
-                np.concatenate([lp.objective, np.zeros(extra)]),
-                np.concatenate([lp.colptr, lp.colptr[-1] + np.arange(1, extra + 1)]),
-                np.concatenate([lp.rowidx, uncovered]),
-                np.concatenate([lp.vals, np.ones(extra)]),
-                lp.rhs,
-            )
-            basis[uncovered] = n + np.arange(extra)
-        state = _SimplexState(lp, basis, budget)
-        if extra:
-            status = _run_simplex(state, np.repeat([0.0, 1.0], [n, extra]), n)
-            if status == STATUS_MAX_ITERATIONS:
-                return _solution(state, status, n)
-            art_level = np.where(state.basis >= n, state.xb, 0.0)
-            if float(np.maximum(art_level, 0.0).sum()) > _PHASE1_TOLERANCE:
-                return _solution(state, STATUS_INFEASIBLE, n)
-
-    return _solution(state, _run_simplex(state, state.lp.objective, n), n)
+            raise ValueError("initial basis must name one column per row")
+    try:
+        state = _SimplexState(lp, basis, _PIVOT_BUDGET_FACTOR * (n + m))
+    except RuntimeError:
+        raise ValueError("initial basis is singular") from None
+    # basic values carry rounding in proportion to the right-hand side
+    if state.xb.min(initial=0.0) < -_RATIO_TOLERANCE * lp.rhs.max(initial=1.0):
+        raise ValueError("initial basis is not primal feasible")
+    status = _run_simplex(state)
+    if state.updated_since_refactor:
+        state.refactor()
+    x = np.zeros(n)
+    x[state.basis] = state.xb
+    dual = lp.objective[state.basis] @ state.binv if status == STATUS_OPTIMAL else None
+    objective = -np.inf if status == STATUS_UNBOUNDED else float(lp.objective @ x)
+    return LpSolution(x, objective, state.basis.copy(), status, dual, state.pivots)

@@ -1,10 +1,11 @@
 """Exact discrete optimal transport through the simplex solver.
 
-Every solve starts phase 2 from the northwest-corner staircase. The walk
-from cell (0, 0) to (n - 1, m - 1) visits exactly n + m - 1 cells, which
-span every row and column as a tree; their columns are therefore a
+Every solve starts the simplex from the northwest-corner staircase. The
+walk from cell (0, 0) to (n - 1, m - 1) visits exactly n + m - 1 cells,
+which span every row and column as a tree; their columns are therefore a
 nonsingular basis of the marginal program, and the greedy masses on them
-are its basic solution, so phase 1 is never needed.
+are its basic solution. solve_lp raises an error on a start basis it
+rejects; there is no phase 1 to fall back to.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def solve_transport(
     """Minimize sum_ij cost_ij plan_ij over couplings of p0 and p1.
 
     The simplex starts from the northwest-corner staircase basis (cell
-    (i, j) is column i * m + j) and runs phase 2 only.
+    (i, j) is column i * m + j).
     """
     n, m = cost.shape
     lp = transport_program(cost, p0, p1)

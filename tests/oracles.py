@@ -3,11 +3,13 @@
 Nothing in here touches the solver code paths under test: linear programs
 are settled by enumerating basic solutions, transport instances by scanning
 permutations, projections by scanning thresholds, and `northwest_corner`
-fills the greedy staircase coupling cell by cell. The facility relaxation
-and linf's pinned-column transport program are written out in full for the
-generic simplex, as LP references for the cutting-plane and closed-form
-solvers, and `support_envelope` writes the envelope of the column count as
-a subset LP for it. `son_reference` is the ADMM loop for `son` written with
+fills the greedy staircase coupling cell by cell. `two_phase` is the
+textbook two-phase simplex for programs without a ready start basis, run as
+phase-1 and phase-2 calls of `solve_lp`, which itself only runs from a
+feasible basis. The facility relaxation and linf's pinned-column transport
+program are written out in full for the generic simplex, as LP references
+for the cutting-plane and closed-form solvers, and `support_envelope`
+writes the envelope of the column count as a subset LP for it. `son_reference` is the ADMM loop for `son` written with
 a fresh array per operation, the bit-for-bit reference for the solver's
 in-place loop; `reference_row_assignment` is the clustering rule one row at
 a time. `medoid_dual_excess` checks the single-site dual of `son` one column
@@ -27,7 +29,7 @@ from otclust.core import (
     TransportPlan,
     transport_cost,
 )
-from otclust.lp import LinearProgram, solve_lp
+from otclust.lp import LinearProgram, LpSolution, solve_lp
 from otclust.son import (
     _BALANCING_FACTOR,
     _BALANCING_RATIO,
@@ -38,6 +40,8 @@ from otclust.son import (
 )
 
 BFS_TOL = 1e-9
+# the largest artificial sum a feasible phase 1 may end with
+PHASE1_TOL = 1e-7
 
 
 def enumerate_lp(c, A, b):
@@ -92,6 +96,70 @@ def program_from_rows(objective, rows, rhs):
     order = np.argsort(cols, kind="stable")
     colptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(objective)))])
     return LinearProgram(objective, colptr, rowidx[order], vals[order], rhs)
+
+
+def _dense_program(objective, A, rhs):
+    """A LinearProgram from a dense constraint matrix."""
+    cols, rows = np.nonzero(A.T)
+    colptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=A.shape[1]))])
+    return LinearProgram(objective, colptr, rows, A[rows, cols], rhs)
+
+
+def two_phase(program):
+    """Textbook two-phase simplex over public `solve_lp` calls.
+
+    Phase 1 gives each row without a positive singleton column an
+    artificial unit column (ids from variable_count on) and minimizes their
+    sum from the crash basis. Each artificial still basic at zero leaves on
+    the first structural column with a nonzero entry in its row of B^-1 A;
+    a row with no such column is a combination of the others, so it is
+    dropped, keeps its artificial id in the basis and gets dual 0. Phase 2
+    solves the kept rows from the remaining structural basis.
+    """
+    m, n = program.constraint_count, program.variable_count
+    A = np.zeros((m, n))
+    A[program.rowidx, np.repeat(np.arange(n), np.diff(program.colptr))] = program.vals
+    singles = (np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0) > 0)
+    uncovered = np.flatnonzero(~(A[:, singles] > 0).any(axis=1))
+    k = uncovered.size
+    if k == 0:
+        return solve_lp(_dense_program(program.objective, A, program.rhs))
+    full = np.hstack([A, np.zeros((m, k))])
+    full[uncovered, n + np.arange(k)] = 1.0
+    first = solve_lp(_dense_program(np.repeat([0.0, 1.0], [n, k]), full, program.rhs))
+    basis, pivots = first.basis.copy(), first.pivots
+    if first.status != STATUS_OPTIMAL:
+        return LpSolution(first.primal[:n], np.nan, basis, first.status, None, pivots)
+    if first.objective_value > PHASE1_TOL:
+        return LpSolution(first.primal[:n], np.nan, basis, "infeasible", None, pivots)
+    dropped = []
+    binv = np.linalg.inv(full[:, basis])
+    for position in np.flatnonzero(basis >= n):
+        entering = np.flatnonzero(np.abs(binv[position] @ A) > BFS_TOL)
+        if entering.size:
+            basis[position] = entering[0]
+            d = binv @ A[:, entering[0]]
+            pivot_row = binv[position] / d[position]
+            binv -= np.outer(d, pivot_row)
+            binv[position] = pivot_row
+            pivots += 1
+        else:
+            dropped.append(position)
+    kept = np.ones(m, dtype=bool)
+    kept[uncovered[basis[dropped] - n]] = False
+    second = solve_lp(
+        _dense_program(program.objective, A[kept], program.rhs[kept]),
+        initial_basis=np.delete(basis, dropped),
+    )
+    basis[np.setdiff1d(np.arange(m), dropped)] = second.basis
+    dual = None
+    if second.dual is not None:
+        dual = np.zeros(m)
+        dual[kept] = second.dual
+    return LpSolution(
+        second.primal, second.objective_value, basis, second.status, dual,
+        pivots + second.pivots,
+    )
 
 
 def facility_lp(cost, weights, penalty):
@@ -282,7 +350,7 @@ def support_envelope(plan, weights):
     ]
     rows.append([(share[k], 1.0) for k in range(len(subsets))])
     rhs = np.concatenate([X.reshape(-1), np.zeros(len(subsets) * n), [1.0]])
-    solution = solve_lp(program_from_rows(objective, rows, rhs))
+    solution = two_phase(program_from_rows(objective, rows, rhs))
     if solution.status != STATUS_OPTIMAL:
         raise RuntimeError(f"subset LP ended with {solution.status}")
     return solution.objective_value

