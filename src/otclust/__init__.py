@@ -21,13 +21,7 @@ from .datagen import (
 from .facility import FacilityResult, solve_facility_relaxation
 from .linf import LinfResult, solve_linf
 from .pointio import read_points, write_points
-from .son import (
-    AdmmConfig,
-    SonResult,
-    group_shrink,
-    project_scaled_simplex,
-    solve_son,
-)
+from .son import SonResult, group_shrink, project_scaled_simplex, solve_son
 from .svg import emit_scatter_svg
 from .sweep import ExperimentSpec, SweepReport, run_sweep
 from .transport import TransportResult, solve_transport, wasserstein2
@@ -44,7 +38,6 @@ __all__ = [
     "TransportResult",
     "solve_transport",
     "wasserstein2",
-    "AdmmConfig",
     "SonResult",
     "group_shrink",
     "project_scaled_simplex",

@@ -22,7 +22,7 @@ from .clustering import ClusteringResult
 from .core import ProbabilityVector, build_cost_matrix
 from .datagen import BUILTIN_CONFIGS, builtin_config, sample_gaussian_mixture
 from .pointio import atomic_write_text, read_points, write_points
-from .son import AdmmConfig
+from .son import MAX_ITERATIONS
 from .svg import emit_scatter_svg
 from .sweep import (
     METHODS,
@@ -68,17 +68,11 @@ def _input_checks(args):
         args.usage_error(str(exc))
 
 
-def _admm(args) -> AdmmConfig:
-    return AdmmConfig(
-        eps_abs=args.eps_abs, eps_rel=args.eps_rel, max_iterations=args.max_iterations
-    )
-
-
 def _cmd_generate(args) -> int:
     config = builtin_config(args.config, args.samples_per_component, args.seed)
     target = _default_path(args.out, "points.csv")
     if target is None:
-        raise SystemExit("generate needs --out or OTCLUST_OUTDIR")
+        args.usage_error("generate needs --out or OTCLUST_OUTDIR")
     write_points(sample_gaussian_mixture(config), target)
     return 0
 
@@ -88,10 +82,12 @@ def _cmd_cluster(args) -> int:
         args.usage_error("linf needs --lambda > 0")
     with _input_checks(args):
         cloud = read_points(args.points)
+        if args.svg is not None and cloud.dimension != 2:
+            raise ValueError(f"--svg needs 2-d points, got dimension {cloud.dimension}")
     p0 = ProbabilityVector.uniform(cloud.size)
     cost = build_cost_matrix(cloud)
-    result = solve_one(args.method, _admm(args), cost, p0, args.penalty)
-    document, clusters = solution_entry(args.penalty, result, cloud.labels, args.tie_tol)
+    result = solve_one(args.method, args.max_iterations, cost, p0, args.penalty)
+    document, clusters = solution_entry(args.penalty, result, cloud.labels)
     document.update(method=args.method, assignment=[int(j) for j in clusters.assignment])
     _emit_json(document, _default_path(args.out, f"cluster-{args.method}.json"))
     if args.svg is not None:
@@ -122,19 +118,18 @@ def _parse_grid(args) -> tuple[float, ...]:
 def _cmd_sweep(args) -> int:
     if (args.points is None) == (args.config is None):
         args.usage_error("pass exactly one of --points or --config")
-    try:
+    with _input_checks(args):
+        if args.points is not None:
+            read_points(args.points)  # run_sweep reads it again; this only checks it
         spec = ExperimentSpec(
             dataset=args.points if args.points is not None else args.config,
             method=args.method,
             lambda_grid=_parse_grid(args),
             seed=args.seed,
             output_directory=args.out or os.environ.get(OUTDIR_VARIABLE),
-            tie_tol=args.tie_tol,
-            admm=_admm(args),
+            max_iterations=args.max_iterations,
             jobs=args.jobs,
         )
-    except ValueError as exc:
-        args.usage_error(str(exc))
     report = run_sweep(spec)
     if report.path is None:
         sys.stdout.write(format_report_json(report.document))
@@ -144,6 +139,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_plot(args) -> int:
     with _input_checks(args):
         cloud = read_points(args.points)
+        if cloud.dimension != 2:
+            raise ValueError(f"plot needs 2-d points, got dimension {cloud.dimension}")
         with open(args.result) as stream:
             stored = json.load(stream)
         if "assignment" not in stored:
@@ -151,15 +148,10 @@ def _cmd_plot(args) -> int:
         assignment = np.asarray(stored["assignment"], dtype=int)
         if assignment.shape != (cloud.size,):
             raise ValueError(f"{args.result}: {assignment.size} assignments, {cloud.size} points")
-    clusters = ClusteringResult(
-        representatives=frozenset(int(j) for j in np.unique(assignment)),
-        assignment=assignment,
-        cluster_count=int(np.unique(assignment).size),
-    )
     target = _default_path(args.out, "clusters.svg")
     if target is None:
-        raise SystemExit("plot needs --out or OTCLUST_OUTDIR")
-    emit_scatter_svg(cloud, clusters, target)
+        args.usage_error("plot needs --out or OTCLUST_OUTDIR")
+    emit_scatter_svg(cloud, ClusteringResult(assignment), target)
     return 0
 
 
@@ -194,13 +186,6 @@ def _nonnegative(text):
     return value
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--tie-tol", type=_nonnegative, default=1e-9)
-    parser.add_argument("--max-iterations", type=_positive_int, default=AdmmConfig.max_iterations)
-    parser.add_argument("--eps-abs", type=_nonnegative, default=AdmmConfig.eps_abs)
-    parser.add_argument("--eps-rel", type=_nonnegative, default=AdmmConfig.eps_rel)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otclust",
@@ -214,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--samples-per-component", type=_positive_int, default=None)
     generate.add_argument("--seed", type=int, default=None)
     generate.add_argument("--out", default=None)
-    generate.set_defaults(handler=_cmd_generate)
+    generate.set_defaults(handler=_cmd_generate, usage_error=generate.error)
 
     cluster = commands.add_parser("cluster", help="cluster one CSV at one penalty")
     cluster.add_argument("--points", required=True)
@@ -222,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--lambda", dest="penalty", type=_nonnegative, required=True, help="sparsity penalty weight"
     )
-    _add_solver_flags(cluster)
+    cluster.add_argument("--max-iterations", type=_positive_int, default=MAX_ITERATIONS)
     cluster.add_argument("--out", default=None)
     cluster.add_argument("--svg", default=None)
     cluster.set_defaults(handler=_cmd_cluster, usage_error=cluster.error)
@@ -235,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log-grid", default=None, help="MIN,MAX,COUNT geometric grid")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--jobs", type=_positive_int, default=1)
-    _add_solver_flags(sweep)
+    sweep.add_argument("--max-iterations", type=_positive_int, default=MAX_ITERATIONS)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(handler=_cmd_sweep, usage_error=sweep.error)
 

@@ -17,6 +17,10 @@ from .core import TransportPlan
 __all__ = ["ClusteringResult", "extract_clusters", "adjusted_rand_index"]
 
 
+# Entries within this much of their row's maximum tie with it.
+_TIE_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class ClusteringResult:
     """Assignment of every point to a representative column.
@@ -26,9 +30,7 @@ class ClusteringResult:
     mass at all are assigned to themselves and listed in `zero_mass_rows`.
     """
 
-    representatives: frozenset[int]
     assignment: np.ndarray
-    cluster_count: int
     zero_mass_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -36,32 +38,30 @@ class ClusteringResult:
         labels.setflags(write=False)
         object.__setattr__(self, "assignment", labels)
 
-    def labels(self) -> np.ndarray:
-        return self.assignment
+    @property
+    def representatives(self) -> frozenset[int]:
+        return frozenset(int(j) for j in np.unique(self.assignment))
+
+    @property
+    def cluster_count(self) -> int:
+        return len(self.representatives)
 
 
-def extract_clusters(plan: TransportPlan, tie_tol: float = 1e-9) -> ClusteringResult:
+def extract_clusters(plan: TransportPlan) -> ClusteringResult:
     """Assign each point to its row's strongest column.
 
-    Ties within `tie_tol` of the row maximum go to the lowest column index,
-    which keeps the result independent of solver pivoting order.
+    Ties within _TIE_TOLERANCE of the row maximum go to the lowest column
+    index, which keeps the result independent of solver pivoting order.
     """
     entries = plan.entries
     n, m = entries.shape
     if n != m:
         raise ValueError(f"clustering needs a square plan, got {n}x{m}")
-    if not (np.isfinite(tie_tol) and tie_tol >= 0):
-        raise ValueError("tie tolerance must be finite and nonnegative")
     top = entries.max(axis=1)
-    assignment = np.argmax(entries >= top[:, None] - tie_tol, axis=1)
+    assignment = np.argmax(entries >= top[:, None] - _TIE_TOLERANCE, axis=1)
     zero_rows = np.flatnonzero(top <= 0.0)
     assignment[zero_rows] = zero_rows
-    return ClusteringResult(
-        representatives=frozenset(int(j) for j in np.unique(assignment)),
-        assignment=assignment,
-        cluster_count=int(np.unique(assignment).size),
-        zero_mass_rows=tuple(int(i) for i in zero_rows),
-    )
+    return ClusteringResult(assignment, tuple(int(i) for i in zero_rows))
 
 
 def adjusted_rand_index(a, b) -> float:

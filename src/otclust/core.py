@@ -180,19 +180,17 @@ class TransportPlan:
 class SolveReport:
     """Uniform solver telemetry.
 
-    status is one of "optimal", "max_iterations", "unbounded".
-    The residual fields are populated by the ADMM path only; `note` carries
-    warnings such as non-unique openings. duality_gap is set by `son` only:
-    objective minus the value of a feasible point of its dual, so the true
-    optimum lies in [objective - duality_gap, objective]. It is 0 when the
-    single-site plan is certified optimal.
+    status is one of "optimal", "max_iterations", "unbounded". `note`
+    carries warnings such as non-unique openings. duality_gap is set by
+    `son` only: objective minus the value of a feasible point of its dual,
+    so the true optimum lies in [objective - duality_gap, objective]. It is
+    0 when the single-site plan is certified optimal. The ADMM residuals
+    are in SonResult.residual_history.
     """
 
     objective: float
     iterations: int
     status: str
-    primal_residual: float | None = None
-    dual_residual: float | None = None
     note: str | None = None
     duality_gap: float | None = None
 

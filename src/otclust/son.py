@@ -43,7 +43,7 @@ shifts it feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,28 +59,16 @@ from .core import (
 
 
 @dataclass(frozen=True)
-class AdmmConfig:
-    eps_abs: float = 1e-6
-    eps_rel: float = 1e-4
-    max_iterations: int = 10000
-
-    def __post_init__(self):
-        if not all(np.isfinite(v) and v >= 0 for v in (self.eps_abs, self.eps_rel)):
-            raise ValueError("eps_abs and eps_rel must be finite and nonnegative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
 class SonResult:
     """plan is the row-feasible iterate; auxiliary the shrunken consensus
     copy, whose exact zero columns indicate the support the penalty chose.
     residual_history holds the (primal, dual) residuals of every iteration,
-    which also tell where residual balancing changed rho."""
+    which also tell where residual balancing changed rho; its last row is
+    where the solve stopped. A certified solve runs no iteration: its
+    auxiliary is the plan and its history is empty."""
 
     plan: TransportPlan
     auxiliary: np.ndarray
-    penalty: float
     report: SolveReport
     residual_history: np.ndarray
 
@@ -172,6 +160,11 @@ _RHO_FLOOR = 1.0
 _BALANCING_RATIO = 10.0
 _BALANCING_FACTOR = 2.0
 _MAX_BALANCING_STEPS = 10
+# ADMM stops once each residual is within _EPS_ABS * n plus _EPS_REL times
+# the size of the iterates it compares (Boyd et al., ADMM, section 3.3.1).
+_EPS_ABS = 1e-6
+_EPS_REL = 1e-4
+MAX_ITERATIONS = 10000
 
 
 def _initial_rho(kappa: float, p0_norm: float) -> float:
@@ -214,24 +207,18 @@ def _dual_shift(slack, kappa: float) -> float:
     return max(float(root.max()), 0.0)
 
 
-def _son_objective(cost, plan, kappa):
-    return transport_cost(cost, plan) + kappa * float(
-        np.linalg.norm(plan, axis=0).sum()
-    )
-
-
 def solve_son(
     cost: CostMatrix,
     p0: ProbabilityVector,
     penalty: float,
-    config: AdmmConfig | None = None,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> SonResult:
     """Column-norm-penalized transport relaxation: the certified single-site
     plan when its closed-form dual is feasible, ADMM otherwise.
 
     penalty is the user-facing weight on the support surrogate; internally
     it is divided by ||p0||_2 so a plan concentrated on a single column pays
-    exactly `penalty`.
+    exactly `penalty`. max_iterations caps the ADMM iterations.
     """
     n, m = cost.shape
     if n != m:
@@ -240,6 +227,8 @@ def solve_son(
         raise ValueError("marginal size does not match the cost matrix")
     if not (np.isfinite(penalty) and penalty >= 0):
         raise ValueError("penalty must be finite and nonnegative")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
 
     C = cost.entries
     weights = p0.weights
@@ -255,46 +244,42 @@ def solve_son(
         :, None
     ]
     norms = _positive_norms(slack)
-    if norms.max() <= max(kappa, norms[medoid]):
+    certified = norms.max() <= max(kappa, norms[medoid])
+    if certified:
         plan = np.zeros_like(C)
         plan[:, medoid] = weights
-        feasible = TransportPlan(plan, p0)
-        report = SolveReport(
-            objective=_son_objective(cost, feasible.entries, kappa),
-            iterations=0,
-            status=STATUS_OPTIMAL,
-            duality_gap=0.0,
+        consensus, iterations, converged = plan.copy(), 0, True
+        history = np.empty((0, 2))
+    else:
+        plan, consensus, iterations, converged, history = _admm(
+            cost, p0, penalty, max_iterations
         )
-        return SonResult(
-            plan=feasible,
-            auxiliary=plan.copy(),
-            penalty=float(penalty),
-            report=report,
-            residual_history=np.empty((0, 2)),
-        )
+    feasible = TransportPlan(plan, p0)
+    X = feasible.entries
+    column_norms = np.linalg.norm(X, axis=0)
+    objective = transport_cost(cost, X) + kappa * float(column_norms.sum())
+    gap = 0.0
+    if not certified:
+        # u_i = cost_ij + kappa x_ij / ||x_j|| at each row's largest entry,
+        # the row multiplier of a plan that is optimal on its support
+        j = X[rows].argmax(axis=1)
+        u = C[rows, j] + kappa * X[rows, j] / column_norms[j]
+        shift = _dual_shift(u[:, None] - C[rows], kappa)
+        gap = objective - (float(weights[rows] @ u) - shift * float(weights[rows].sum()))
+    report = SolveReport(
+        objective=objective,
+        iterations=iterations,
+        status=STATUS_OPTIMAL if converged else STATUS_MAX_ITERATIONS,
+        duality_gap=gap,
+    )
+    return SonResult(
+        plan=feasible, auxiliary=consensus, report=report, residual_history=history
+    )
 
-    result = _admm(cost, p0, penalty, config)
-    # u_i = cost_ij + kappa x_ij / ||x_j|| at each row's largest entry, the
-    # row multiplier of a plan that is optimal on its support
-    X = result.plan.entries[rows]
-    j = X.argmax(axis=1)
-    i = np.arange(j.size)
-    column_norms = np.linalg.norm(result.plan.entries, axis=0)
-    u = C[rows][i, j] + kappa * X[i, j] / column_norms[j]
-    shift = _dual_shift(u[:, None] - C[rows], kappa)
-    lower = float(weights[rows] @ u) - shift * float(weights[rows].sum())
-    report = replace(result.report, duality_gap=result.report.objective - lower)
-    return replace(result, report=report)
 
-
-def _admm(
-    cost: CostMatrix,
-    p0: ProbabilityVector,
-    penalty: float,
-    config: AdmmConfig | None = None,
-) -> SonResult:
-    """The ADMM loop from the diagonal plan; its report has no duality gap."""
-    cfg = config or AdmmConfig()
+def _admm(cost, p0, penalty, max_iterations):
+    """The ADMM loop from the diagonal plan: (plan, consensus, iterations,
+    converged, residual history)."""
     n = cost.shape[0]
     p0_norm = p0.norm2()
     kappa = penalty / p0_norm
@@ -312,12 +297,9 @@ def _admm(
 
     history = []
     balancing_steps = 0
-    iterations = 0
-    primal_res = np.inf
-    dual_res = np.inf
     converged = False
 
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         # plan = project(consensus - dual - cost / rho)
         np.subtract(consensus, dual, out=work)
         work -= scaled_cost
@@ -335,10 +317,10 @@ def _admm(
         np.subtract(consensus, previous, out=work)
         dual_res = float(rho * np.linalg.norm(work))
         history.append((primal_res, dual_res))
-        eps_pri = cfg.eps_abs * n + cfg.eps_rel * max(
+        eps_pri = _EPS_ABS * n + _EPS_REL * max(
             float(np.linalg.norm(plan)), float(np.linalg.norm(consensus))
         )
-        eps_dual = cfg.eps_abs * n + cfg.eps_rel * rho * float(np.linalg.norm(dual))
+        eps_dual = _EPS_ABS * n + _EPS_REL * rho * float(np.linalg.norm(dual))
         if primal_res <= eps_pri and dual_res <= eps_dual:
             converged = True
             break
@@ -355,18 +337,4 @@ def _admm(
                 balancing_steps += 1
                 np.divide(cost.entries, rho, out=scaled_cost)
 
-    feasible = TransportPlan(plan, p0)
-    report = SolveReport(
-        objective=_son_objective(cost, feasible.entries, kappa),
-        iterations=iterations,
-        status=STATUS_OPTIMAL if converged else STATUS_MAX_ITERATIONS,
-        primal_residual=primal_res,
-        dual_residual=dual_res,
-    )
-    return SonResult(
-        plan=feasible,
-        auxiliary=consensus,
-        penalty=float(penalty),
-        report=report,
-        residual_history=np.asarray(history),
-    )
+    return plan, consensus, iterations, converged, np.asarray(history)

@@ -24,7 +24,7 @@ from .datagen import BUILTIN_CONFIGS, builtin_config, sample_gaussian_mixture
 from .facility import solve_facility_relaxation
 from .linf import solve_linf
 from .pointio import atomic_write_text, read_points
-from .son import AdmmConfig, solve_son
+from .son import MAX_ITERATIONS, solve_son
 from .transport import solve_transport
 
 __all__ = ["ExperimentSpec", "SweepReport", "run_sweep", "format_report_json"]
@@ -44,8 +44,7 @@ class ExperimentSpec:
     lambda_grid: tuple[float, ...]
     seed: int | None = None
     output_directory: str | None = None
-    tie_tol: float = 1e-9
-    admm: AdmmConfig = AdmmConfig()
+    max_iterations: int = MAX_ITERATIONS
     jobs: int = 1
 
     def __post_init__(self):
@@ -58,8 +57,8 @@ class ExperimentSpec:
             raise ValueError("penalty grid values must be finite and nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if not (np.isfinite(self.tie_tol) and self.tie_tol >= 0):
-            raise ValueError("tie_tol must be finite and nonnegative")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.seed is not None and self.dataset not in BUILTIN_CONFIGS:
             raise ValueError("seed applies only to the built-in datasets")
         object.__setattr__(self, "lambda_grid", grid)
@@ -83,10 +82,11 @@ def load_dataset(spec: ExperimentSpec) -> PointCloud:
     return read_points(spec.dataset)
 
 
-def solve_one(method: str, admm: AdmmConfig, cost, p0, penalty):
-    """The solver result, with its plan and report, of method at one penalty."""
+def solve_one(method: str, max_iterations: int, cost, p0, penalty):
+    """The solver result, with its plan and report, of method at one penalty;
+    max_iterations caps son's ADMM iterations."""
     if method == "son":
-        return solve_son(cost, p0, penalty, config=admm)
+        return solve_son(cost, p0, penalty, max_iterations)
     if method == "lp":
         return solve_facility_relaxation(cost, p0, penalty)
     if method == "linf":
@@ -100,10 +100,10 @@ def twelve_digits(value: float) -> float:
     return float(f"{float(value):.12g}")
 
 
-def solution_entry(penalty, result, labels, tie_tol):
+def solution_entry(penalty, result, labels):
     """The report entry of one solver result and the clusters it counts."""
     report = result.report
-    clusters = extract_clusters(result.plan, tie_tol=tie_tol)
+    clusters = extract_clusters(result.plan)
     entry = {
         "lambda": twelve_digits(penalty),
         "objective": twelve_digits(report.objective),
@@ -122,12 +122,12 @@ def solution_entry(penalty, result, labels, tie_tol):
 def _result_entry(spec, cost, p0, labels, penalty):
     started = time.perf_counter()
     try:
-        result = solve_one(spec.method, spec.admm, cost, p0, penalty)
+        result = solve_one(spec.method, spec.max_iterations, cost, p0, penalty)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         logger.warning("penalty %g failed: %s", penalty, error)
         return {"lambda": twelve_digits(penalty), "status": "error", "error": error}
-    entry, clusters = solution_entry(penalty, result, labels, spec.tie_tol)
+    entry, clusters = solution_entry(penalty, result, labels)
     logger.info(
         "%s penalty %g: %d clusters in %.3fs", spec.method, penalty,
         clusters.cluster_count, time.perf_counter() - started,

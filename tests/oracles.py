@@ -22,20 +22,15 @@ import math
 
 import numpy as np
 
-from otclust.core import (
-    STATUS_MAX_ITERATIONS,
-    STATUS_OPTIMAL,
-    SolveReport,
-    TransportPlan,
-    transport_cost,
-)
+from otclust.core import STATUS_OPTIMAL, TransportPlan
 from otclust.lp import LinearProgram, LpSolution, solve_lp
 from otclust.son import (
     _BALANCING_FACTOR,
     _BALANCING_RATIO,
+    _EPS_ABS,
+    _EPS_REL,
     _MAX_BALANCING_STEPS,
-    AdmmConfig,
-    SonResult,
+    MAX_ITERATIONS,
     _initial_rho,
 )
 
@@ -399,14 +394,13 @@ def _reference_group_shrink(V, threshold):
     return V * np.maximum(0.0, 1.0 - ratio)[None, :]
 
 
-def son_reference(cost, p0, penalty, config=None):
+def son_reference(cost, p0, penalty, max_iterations=MAX_ITERATIONS):
     """The `son` ADMM loop with a fresh array for every intermediate.
 
-    Same operations in the same order as `otclust.son.solve_son`, so both
-    must return bit-identical plans, auxiliaries, reports and residual
-    histories.
+    Same operations in the same order as `otclust.son._admm`, so both must
+    return the bit-identical (plan, consensus, iterations, converged,
+    residual history).
     """
-    cfg = config or AdmmConfig()
     n = cost.shape[0]
     p0_norm = p0.norm2()
     kappa = penalty / p0_norm
@@ -418,12 +412,9 @@ def son_reference(cost, p0, penalty, config=None):
 
     history = []
     balancing_steps = 0
-    iterations = 0
-    primal_res = np.inf
-    dual_res = np.inf
     converged = False
 
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         plan = reference_project_rows(consensus - dual - C / rho, p0.weights)
         previous = consensus
         consensus = _reference_group_shrink(plan + dual, kappa / rho)
@@ -432,10 +423,10 @@ def son_reference(cost, p0, penalty, config=None):
         primal_res = float(np.linalg.norm(plan - consensus))
         dual_res = float(rho * np.linalg.norm(consensus - previous))
         history.append((primal_res, dual_res))
-        eps_pri = cfg.eps_abs * n + cfg.eps_rel * max(
+        eps_pri = _EPS_ABS * n + _EPS_REL * max(
             float(np.linalg.norm(plan)), float(np.linalg.norm(consensus))
         )
-        eps_dual = cfg.eps_abs * n + cfg.eps_rel * rho * float(np.linalg.norm(dual))
+        eps_dual = _EPS_ABS * n + _EPS_REL * rho * float(np.linalg.norm(dual))
         if primal_res <= eps_pri and dual_res <= eps_dual:
             converged = True
             break
@@ -450,24 +441,7 @@ def son_reference(cost, p0, penalty, config=None):
                 dual *= _BALANCING_FACTOR
                 balancing_steps += 1
 
-    feasible = TransportPlan(plan, p0)
-    objective = transport_cost(cost, feasible.entries) + kappa * float(
-        np.linalg.norm(feasible.entries, axis=0).sum()
-    )
-    report = SolveReport(
-        objective=objective,
-        iterations=iterations,
-        status=STATUS_OPTIMAL if converged else STATUS_MAX_ITERATIONS,
-        primal_residual=primal_res,
-        dual_residual=dual_res,
-    )
-    return SonResult(
-        plan=feasible,
-        auxiliary=consensus,
-        penalty=float(penalty),
-        report=report,
-        residual_history=np.asarray(history),
-    )
+    return plan, consensus, iterations, converged, np.asarray(history)
 
 
 def medoid_dual_excess(cost, weights, penalty):

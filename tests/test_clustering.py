@@ -7,7 +7,12 @@ from otclust import (
     build_cost_matrix,
     support_cardinality,
 )
-from otclust.clustering import ClusteringResult, adjusted_rand_index, extract_clusters
+from otclust.clustering import (
+    _TIE_TOLERANCE,
+    ClusteringResult,
+    adjusted_rand_index,
+    extract_clusters,
+)
 from otclust.core import TransportPlan
 from otclust.son import solve_son
 
@@ -96,12 +101,11 @@ class TestExtractClusters:
         )
         res = extract_clusters(plan_from(entries))
         assert list(res.assignment) == [0, 1, 2]
-        # a tolerance below the gap separates near-ties again
+        # a gap inside the tie tolerance still ties, one beyond it does not
         entries = np.array([[0.3, 0.3 + 5e-10], [0.0, 0.4 - 5e-10]])
         assert list(extract_clusters(plan_from(entries)).assignment) == [0, 1]
-        assert list(
-            extract_clusters(plan_from(entries), tie_tol=1e-12).assignment
-        ) == [1, 1]
+        entries = np.array([[0.3, 0.3 + 2e-9], [0.0, 0.4 - 2e-9]])
+        assert list(extract_clusters(plan_from(entries)).assignment) == [1, 1]
 
     def test_zero_mass_rows_flagged_and_self_assigned(self):
         entries = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -138,14 +142,15 @@ class TestExtractClusters:
         entries = rng.uniform(size=(5, 5))
         scales = rng.uniform(0.5, 3.0, size=5)
         base = extract_clusters(plan_from(entries))
-        scaled = extract_clusters(plan_from(entries * scales[:, None]), tie_tol=0.0)
+        scaled = extract_clusters(plan_from(entries * scales[:, None]))
         assert list(base.assignment) == list(scaled.assignment)
 
     def test_rejects_non_square_and_bad_tol(self):
         entries = np.array([[0.5, 0.25, 0.25]])
         with pytest.raises(ValueError):
             extract_clusters(plan_from(entries))
-        with pytest.raises(ValueError):
+        # the tie tolerance is the constant _TIE_TOLERANCE, not an argument
+        with pytest.raises(TypeError, match="tie_tol"):
             extract_clusters(plan_from(np.eye(2) / 2), tie_tol=-1.0)
 
     def test_matches_row_by_row_rule(self):
@@ -159,21 +164,10 @@ class TestExtractClusters:
             if not entries.any():
                 entries[0, 0] = 1.0
             plan = plan_from(entries)
-            for tol in (0.0, 1e-9, 0.15):
-                res = extract_clusters(plan, tie_tol=tol)
-                assignment, zero_rows = reference_row_assignment(plan.entries, tol)
-                assert list(res.assignment) == assignment
-                assert res.zero_mass_rows == zero_rows
-
-    def test_rejects_nan_tie_tol(self):
-        # every comparison with nan is false, so a sign test lets nan through
-        with pytest.raises(ValueError, match="tie tolerance"):
-            extract_clusters(plan_from(np.eye(2) / 2), tie_tol=float("nan"))
-
-    def test_rejects_infinite_tie_tol(self):
-        # an infinite tolerance would tie every entry and send each row to column 0
-        with pytest.raises(ValueError, match="tie tolerance"):
-            extract_clusters(plan_from(np.eye(2) / 2), tie_tol=float("inf"))
+            res = extract_clusters(plan)
+            assignment, zero_rows = reference_row_assignment(plan.entries, _TIE_TOLERANCE)
+            assert list(res.assignment) == assignment
+            assert res.zero_mass_rows == zero_rows
 
     def test_assignment_is_read_only(self):
         res = extract_clusters(plan_from(np.eye(3) / 3))

@@ -9,7 +9,6 @@ import otclust.sweep
 from otclust.cli import main
 from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix
 from otclust.pointio import read_points, write_points
-from otclust.son import AdmmConfig
 from otclust.sweep import ExperimentSpec, run_sweep, solve_one
 
 SCHEMA_PATH = "src/otclust/schemas/sweep.schema.json"
@@ -66,21 +65,15 @@ class TestExperimentSpec:
         ],
     )
     def test_rejects_bad_solver_settings(self, field, value):
-        # tie_tol is the spec's own field; the ADMM settings reach it as one
-        # AdmmConfig, which rejects a bad value before the spec is built
-        setting = {field: value}
-        with pytest.raises(ValueError, match=field):
-            ExperimentSpec(
-                dataset="x.csv", method="son", lambda_grid=(1.0,),
-                **(setting if field == "tie_tol" else {"admm": AdmmConfig(**setting)}),
-            )
+        # max_iterations is the spec's one solver setting; the tolerances
+        # are module constants and no longer fields
+        error = ValueError if field == "max_iterations" else TypeError
+        with pytest.raises(error, match=field):
+            ExperimentSpec(dataset="x.csv", method="son", lambda_grid=(1.0,), **{field: value})
 
     def test_accepts_boundary_solver_settings(self):
-        spec = ExperimentSpec(
-            dataset="x.csv", method="son", lambda_grid=(1.0,),
-            admm=AdmmConfig(max_iterations=1, eps_abs=0.0, eps_rel=0.0),
-        )
-        assert spec.admm.max_iterations == 1
+        spec = ExperimentSpec(dataset="x.csv", method="son", lambda_grid=(1.0,), max_iterations=1)
+        assert spec.max_iterations == 1
 
     def test_rejects_seed_for_csv_dataset(self):
         with pytest.raises(ValueError, match="seed"):
@@ -177,7 +170,7 @@ def test_solvers_reject_nonfinite_penalty(tmp_path, method, penalty):
     cost = build_cost_matrix(cloud)
     p0 = ProbabilityVector.uniform(cloud.size)
     with pytest.raises(ValueError, match="finite"):
-        solve_one(method, AdmmConfig(), cost, p0, penalty)
+        solve_one(method, 10, cost, p0, penalty)
 
 
 class TestCli:
@@ -210,10 +203,22 @@ class TestCli:
         assert "--samples-per-component" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
-    def test_generate_needs_destination(self, monkeypatch):
+    def test_generate_needs_destination(self, monkeypatch, capsys):
         monkeypatch.delenv("OTCLUST_OUTDIR", raising=False)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["generate", "--config", "ten-cluster"])
+        assert exc.value.code == 2
+        assert "--out or OTCLUST_OUTDIR" in capsys.readouterr().err
+
+    def test_plot_needs_destination(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("OTCLUST_OUTDIR", raising=False)
+        csv_path = str(planted_csv(tmp_path))
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({"assignment": [0, 0, 0, 3, 3, 3]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--points", csv_path, "--result", str(result)])
+        assert exc.value.code == 2
+        assert "--out or OTCLUST_OUTDIR" in capsys.readouterr().err
 
     def test_generate_uses_outdir_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OTCLUST_OUTDIR", str(tmp_path / "envout"))
@@ -291,12 +296,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "case",
-        ["cluster-missing", "cluster-nan", "omt-dimensions", "plot-length", "plot-bad-json"],
+        [
+            "cluster-missing", "cluster-nan", "cluster-svg-line", "omt-dimensions",
+            "plot-length", "plot-bad-json", "plot-line", "sweep-missing", "sweep-nan",
+        ],
     )
     def test_bad_input_file_is_usage_error(self, tmp_path, capsys, monkeypatch, case):
         solves = []
         record = lambda *args: solves.append(args)
         monkeypatch.setattr(otclust.cli, "solve_one", record)
+        monkeypatch.setattr(otclust.sweep, "solve_one", record)
         monkeypatch.setattr(otclust.cli, "wasserstein2", record)
         monkeypatch.setattr(otclust.cli, "emit_scatter_svg", record)
         good = str(planted_csv(tmp_path))
@@ -306,17 +315,26 @@ class TestCli:
         line.write_text("x0\n0\n1\n")
         short = tmp_path / "short.json"
         short.write_text(json.dumps({"assignment": [0, 0, 3]}))
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"assignment": [0, 1]}))
         broken = tmp_path / "broken.json"
         broken.write_text("{")
         argv = {
             "cluster-missing": ["cluster", "--points", str(tmp_path / "missing.csv")],
             "cluster-nan": ["cluster", "--points", str(nan)],
+            # the scatter SVG needs 2-d points: checked before the solve
+            "cluster-svg-line": ["cluster", "--points", str(line), "--svg", str(tmp_path / "o.svg")],
             "omt-dimensions": ["omt", "--source", good, "--target", str(line)],
             "plot-length": ["plot", "--points", good, "--result", str(short)],
             "plot-bad-json": ["plot", "--points", good, "--result", str(broken)],
+            "plot-line": ["plot", "--points", str(line), "--result", str(pair)],
+            "sweep-missing": ["sweep", "--points", str(tmp_path / "missing.csv")],
+            "sweep-nan": ["sweep", "--points", str(nan)],
         }[case]
         if case.startswith("cluster"):
             argv += ["--method", "son", "--lambda", "1"]
+        if case.startswith("sweep"):
+            argv += ["--method", "lp", "--lambdas", "1"]
         if case.startswith("plot"):
             argv += ["--out", str(tmp_path / "plot.svg")]
         with pytest.raises(SystemExit) as exc:
@@ -332,6 +350,11 @@ class TestCli:
             ("--max-iterations", "0"),
             ("--max-iterations", "-1"),
             ("--max-iterations", "ten"),
+            # the tolerance flags are gone, so even their old defaults are
+            # unrecognized arguments
+            ("--eps-abs", "1e-6"),
+            ("--eps-rel", "1e-4"),
+            ("--tie-tol", "1e-9"),
             ("--eps-abs", "-1"),
             ("--eps-rel", "-1e-4"),
             ("--eps-rel", "nan"),
@@ -342,14 +365,21 @@ class TestCli:
         ],
     )
     def test_solver_flags_rejected_as_usage_errors(
-        self, tmp_path, capsys, command, flag, value
+        self, tmp_path, capsys, monkeypatch, command, flag, value
     ):
+        solves = []
+        monkeypatch.setattr(otclust.cli, "solve_one", lambda *args: solves.append(args))
+        monkeypatch.setattr(otclust.sweep, "solve_one", lambda *args: solves.append(args))
         csv_path = str(planted_csv(tmp_path))
         grid = ["--lambda", "2.0"] if command == "cluster" else ["--lambdas", "2.0"]
         with pytest.raises(SystemExit) as exc:
             main([command, "--points", csv_path, "--method", "son", *grid, flag, value])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err
+        if flag != "--max-iterations":
+            assert "unrecognized arguments" in err
+        assert solves == []
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
     def test_bad_jobs_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, value):
