@@ -151,6 +151,8 @@ class TransportPlan:
         n, m = p.shape
         if n != self.row_target.size:
             raise ValueError(f"plan has {n} rows but row target has {self.row_target.size}")
+        if not np.isfinite(p).all():
+            raise ValueError("plan contains nonfinite entries")
         if (p < -self.tolerance).any():
             raise ValueError(f"plan entry {float(p.min())} below -{self.tolerance}")
         row_err = np.abs(p.sum(axis=1) - self.row_target.weights).max()
@@ -181,11 +183,14 @@ class SolveReport:
     """Uniform solver telemetry.
 
     status is one of "optimal", "max_iterations", "unbounded". `note`
-    carries warnings such as non-unique openings. duality_gap is set by
-    `son` only: objective minus the value of a feasible point of its dual,
-    so the true optimum lies in [objective - duality_gap, objective]. It is
-    0 when the single-site plan is certified optimal. The ADMM residuals
-    are in SonResult.residual_history.
+    carries warnings such as non-unique openings. duality_gap is objective
+    minus a lower bound on the optimum, so the true optimum lies in
+    [objective - duality_gap, objective]; `linf` leaves it None. The bound
+    is, for `son`, the value of a feasible point of its dual (the gap is 0
+    when the single-site plan is certified optimal); for `lp`, the last
+    cutting-plane master's value; for exact transport, the value of the
+    simplex dual, so that gap is rounding only. The ADMM residuals are in
+    SonResult.residual_history.
     """
 
     objective: float

@@ -203,6 +203,7 @@ def _solve_by_cuts(cost, p0, penalty) -> FacilityResult:
                 iterations=total_pivots,
                 status=STATUS_OPTIMAL,
                 note=note,
+                duality_gap=gap,
             )
             return FacilityResult(
                 plan=TransportPlan(best_plan, p0, tolerance=1e-8),

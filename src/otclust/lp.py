@@ -2,10 +2,14 @@
 
 Standard form is min c.x subject to A x = b, x >= 0 with b >= 0. The solver
 keeps an explicit basis inverse, updates it rank-1 per pivot, and rebuilds it
-from scratch every _REFACTOR_EVERY pivots for numerical hygiene. Pricing is
-Dantzig (most negative reduced cost, lowest index on ties); after
-3 * constraint_count consecutive degenerate pivots it switches to Bland's
-rule until a nondegenerate step occurs, which guarantees termination.
+from scratch every _REFACTOR_EVERY pivots for numerical hygiene. A rebuild
+inverts only the bump: the square block of the basis left once the columns
+with a single entry (slacks and bounds) and the rows they cover are set
+aside; those singletons enter the inverse as reciprocals (Suhl & Suhl, ORSA
+J. Comput. 1990). Pricing is Dantzig (most negative reduced cost, lowest
+index on ties); after 3 * constraint_count consecutive degenerate pivots it
+switches to Bland's rule until a nondegenerate step occurs, which guarantees
+termination.
 
 There is no phase 1: a solve starts from a primal feasible basis, either the
 caller's or the crash basis, which takes the first positive singleton column
@@ -129,15 +133,46 @@ class _SimplexState:
         self.refactor()
 
     def refactor(self):
-        B = np.zeros((self.lp.constraint_count, self.basis.size))
-        for k, j in enumerate(self.basis):
-            lo, hi = self.lp.colptr[j], self.lp.colptr[j + 1]
-            B[self.lp.rowidx[lo:hi], k] = self.lp.vals[lo:hi]
+        """Invert the basis by blocks around its singleton columns.
+
+        Positions U hold one entry each (row s_k, value v_k); the rows R no
+        singleton covers and the other positions N leave the square bump
+        M = B[R, N], so B^-1 is diag(1 / v) and inv(M) joined by
+        -(B[s, N] inv(M)) / v in rows U, columns R.
+        """
+        lp, m = self.lp, self.lp.constraint_count
+        starts = lp.colptr[self.basis]
+        widths = lp.colptr[self.basis + 1] - starts
+        single = widths == 1
+        U, N = np.flatnonzero(single), np.flatnonzero(~single)
+        s, v = lp.rowidx[starts[U]], lp.vals[starts[U]]
+        hits = np.bincount(s, minlength=m)
+        if (hits > 1).any() or (v == 0.0).any():
+            raise RuntimeError("basis matrix became singular")
+        R = np.flatnonzero(hits == 0)
+        # slot[r]: r's index in s for a covered row, in R otherwise
+        slot = np.empty(m, dtype=np.int64)
+        slot[s] = np.arange(U.size)
+        slot[R] = np.arange(R.size)
+        lengths = widths[N]
+        col = np.repeat(np.arange(N.size), lengths)
+        entry = np.arange(col.size) + np.repeat(starts[N] - (np.cumsum(lengths) - lengths), lengths)
+        rows, vals = lp.rowidx[entry], lp.vals[entry]
+        covered = hits[rows] > 0
+        bump = np.zeros((R.size, N.size))
+        bump[slot[rows[~covered]], col[~covered]] = vals[~covered]
+        coupling = np.zeros((U.size, N.size))
+        coupling[slot[rows[covered]], col[covered]] = vals[covered]
         try:
-            self.binv = np.linalg.inv(B)
+            # rebinding frees M before binv is allocated
+            bump = np.linalg.inv(bump)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("basis matrix became singular") from exc
-        self.xb = self.binv @ self.lp.rhs
+        self.binv = np.zeros((m, m))
+        self.binv[U, s] = 1.0 / v
+        self.binv[np.ix_(N, R)] = bump
+        self.binv[np.ix_(U, R)] = (coupling @ bump) / -v[:, None]
+        self.xb = self.binv @ lp.rhs
         self.updated_since_refactor = False
 
     def pivot(self, entering: int, leave_pos: int, d: np.ndarray, theta: float):

@@ -74,7 +74,8 @@ def solve_transport(
     if sol.status != STATUS_OPTIMAL:
         raise RuntimeError(f"transport solve ended with status {sol.status!r}")
     plan = TransportPlan(sol.primal.reshape(n, m), p0, p1, tolerance=1e-8)
-    report = SolveReport(sol.objective_value, sol.pivots, sol.status)
+    gap = sol.objective_value - float(lp.rhs @ sol.dual)
+    report = SolveReport(sol.objective_value, sol.pivots, sol.status, duality_gap=gap)
     return TransportResult(plan, report)
 
 

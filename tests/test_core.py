@@ -94,6 +94,16 @@ class TestTransportPlan:
         plan = TransportPlan(np.array([[0.5, 1e-13], [-1e-13, 0.5]]), p0)
         assert (plan.entries >= 0).all()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        # NaN fails both the sign and the row-sum test, so it must be
+        # caught before them
+        p0 = ProbabilityVector.uniform(2)
+        with pytest.raises(ValueError, match="nonfinite"):
+            TransportPlan(np.array([[0.5, bad], [0.0, 0.5]]), p0)
+        with pytest.raises(ValueError, match="nonfinite"):
+            TransportPlan(np.array([[0.5, 0.0], [bad, 0.5]]), p0, p0)
+
 
 class TestSupportCardinality:
     def test_explicit_threshold(self):

@@ -336,3 +336,14 @@ class TestWarmStartedMaster:
             for old, new in zip(previous.basis, initial):
                 assert np.array_equal(before.column(old), after.column(new))
                 assert before.objective[old] == after.objective[new]
+
+
+def test_duality_gap_on_acceptance_grid():
+    # the gap is the converged round's best fill minus the master bound
+    cloud = sample_gaussian_mixture(four_cluster_config())
+    cost = build_cost_matrix(cloud)
+    p0 = ProbabilityVector.uniform(cloud.size)
+    for penalty in np.geomspace(1.0, 2000.0, 30):
+        report = solve_facility_relaxation(cost, p0, penalty).report
+        scale = max(1.0, abs(report.objective))
+        assert -1e-12 * scale <= report.duality_gap <= facility._GAP_TOLERANCE * scale

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import otclust.lp
+from otclust import CostMatrix, ProbabilityVector
 from otclust.lp import LinearProgram, solve_lp
+from otclust.transport import _staircase, transport_program
 
-from oracles import enumerate_lp, program_from_rows, two_phase
+from oracles import _dense_program, enumerate_lp, program_from_rows, two_phase
 
 
 def random_program(rng, n_vars=4, n_rows=2, feasible=True):
@@ -239,6 +241,21 @@ class TestStartBasis:
         )
         with pytest.raises(ValueError, match="singular"):
             solve_lp(lp, initial_basis=[0, 1])
+        # two singleton columns on row 0
+        lp = program_from_rows([0.0] * 3, ([(0, 1.0), (1, 2.0)], [(2, 1.0)]), [1.0, 1.0])
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(lp, initial_basis=[0, 1])
+        # column 0 lists row 1 as +1 and -1, a singleton whose entry is 0
+        lp = LinearProgram([0.0] * 3, [0, 2, 3, 4], [1, 1, 0, 1], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(lp, initial_basis=[1, 0])
+        # the singleton covers row 0, and columns 1 and 2 are parallel on rows 1 and 2
+        lp = program_from_rows(
+            [0.0] * 3, ([(0, 1.0), (1, 1.0), (2, 5.0)], [(1, 1.0), (2, 2.0)], [(1, 2.0), (2, 4.0)]),
+            [1.0, 1.0, 1.0],
+        )
+        with pytest.raises(ValueError, match="singular"):
+            solve_lp(lp, initial_basis=[0, 1, 2])
 
     def test_infeasible_basis_rejected(self):
         # from basis {x, t}: x = 2 and t = 1 - x = -1
@@ -250,3 +267,65 @@ class TestStartBasis:
         with pytest.raises(ValueError, match="not primal feasible"):
             solve_lp(lp, initial_basis=[0, 2])
         assert solve_lp(lp).status == "optimal"
+
+
+def assert_inverts(state):
+    want = np.linalg.inv(np.column_stack([state.lp.column(j) for j in state.basis]))
+    np.testing.assert_allclose(state.binv, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestRefactor:
+    """The basis inverse assembled around the singleton columns equals the
+    dense inverse of B."""
+
+    @staticmethod
+    def refactored(A, basis):
+        lp = _dense_program(np.zeros(A.shape[1]), A, np.ones(A.shape[0]))
+        return otclust.lp._SimplexState(lp, np.array(basis), budget=0)
+
+    def test_singletons_with_structural_columns(self):
+        # singletons 2.0, -1.0 and 1.0 on rows 4, 2 and 0; the structural
+        # columns have entries in those covered rows too
+        rng = np.random.default_rng(11)
+        m = 6
+        singles = np.zeros((m, 3))
+        singles[[4, 2, 0], [0, 1, 2]] = [2.0, -1.0, 1.0]
+        structural = rng.uniform(-1.0, 1.0, size=(m, 3))
+        structural[[1, 3, 5], [0, 1, 2]] += 3.0
+        A = np.hstack([singles, structural, np.eye(m)])
+        for basis in ([0, 1, 2, 3, 4, 5], [3, 0, 5, 1, 4, 2], [5, 4, 3, 2, 1, 0]):
+            assert_inverts(self.refactored(A, basis))
+
+    def test_all_singleton_basis(self):
+        A = np.zeros((4, 4))
+        A[[2, 0, 3, 1], [0, 1, 2, 3]] = [1.0, -1.0, 2.0, 1.0]
+        state = self.refactored(A, [0, 1, 2, 3])
+        assert_inverts(state)
+        assert state.xb.tolist() == [1.0, -1.0, 0.5, 1.0]
+
+    def test_basis_without_singletons(self):
+        rng = np.random.default_rng(12)
+        A = rng.uniform(0.5, 1.5, size=(5, 5)) + 4.0 * np.eye(5)
+        assert_inverts(self.refactored(A, [4, 2, 0, 1, 3]))
+
+    def test_periodic_refactors_during_a_solve(self, monkeypatch):
+        # transport bases mix singletons (the last cell of each row) with
+        # two-entry cells; the solve passes _REFACTOR_EVERY pivots
+        refactor = otclust.lp._SimplexState.refactor
+        refactored_at = []
+
+        def checked(state):
+            refactor(state)
+            assert_inverts(state)
+            refactored_at.append(state.pivots)
+
+        monkeypatch.setattr(otclust.lp._SimplexState, "refactor", checked)
+        rng = np.random.default_rng(13)
+        n = 20
+        cost = CostMatrix(rng.uniform(0.0, 1.0, size=(n, n)))
+        u = ProbabilityVector.uniform(n)
+        program = transport_program(cost, u, u)
+        rows, cols, _ = _staircase(u.weights, u.weights)
+        solution = solve_lp(program, initial_basis=rows * n + cols)
+        assert solution.pivots > otclust.lp._REFACTOR_EVERY
+        assert otclust.lp._REFACTOR_EVERY in refactored_at

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from otclust import (
     CostMatrix,
     solve_facility_relaxation,
+    solve_linf,
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
@@ -685,7 +686,9 @@ class TestDualityGap:
             lower = res.report.objective - res.report.duality_gap
             assert lower <= two_site_grid(cost, p0, penalty) + 1e-12
 
-    def test_other_methods_report_no_gap(self):
+    def test_linf_reports_no_gap(self):
+        # lp and exact transport report theirs (test_facility.py,
+        # test_transport.py); linf is the one method without a gap
         cost = build_cost_matrix(PointCloud(np.arange(8.0).reshape(4, 2)))
         p0 = ProbabilityVector.uniform(4)
-        assert solve_facility_relaxation(cost, p0, 1.0).report.duality_gap is None
+        assert solve_linf(cost, p0, 1.0).report.duality_gap is None

@@ -15,6 +15,7 @@ from otclust import (
     transport_cost,
     wasserstein2,
 )
+from otclust.facility import _GAP_TOLERANCE
 from otclust.transport import _staircase, transport_program
 
 from oracles import northwest_corner, permutation_transport_cost, two_phase
@@ -267,3 +268,15 @@ class TestAgainstAssignmentSolver:
             want = float(cost.entries[rows, cols].sum()) / size
             got = solve_transport(cost, u, u).report.objective
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("target_seed", [7, 8])
+def test_duality_gap_is_rounding(target_seed):
+    # objective minus rhs . dual at the optimal basis; seed 7 against itself
+    # is the acceptance exact-omt instance
+    source = sample_gaussian_mixture(four_cluster_config(seed=7))
+    target = sample_gaussian_mixture(four_cluster_config(seed=target_seed))
+    u = ProbabilityVector.uniform(source.size)
+    report = solve_transport(build_cost_matrix(source, target), u, u).report
+    scale = max(1.0, abs(report.objective))
+    assert -1e-12 * scale <= report.duality_gap <= _GAP_TOLERANCE * scale
