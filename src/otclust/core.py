@@ -2,7 +2,8 @@
 
 Weighted point sets, probability vectors, squared-Euclidean cost matrices and
 transport plans, plus the small amount of shared arithmetic the solvers need:
-support counting under a threshold and the linear transport cost.
+the relaxations' input check, support counting under a threshold and the
+linear transport cost.
 
 All types validate on construction and freeze their arrays afterwards.
 """
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute feasibility tolerance applied per constraint.
+# Absolute feasibility tolerance applied per constraint; the one tolerance of
+# every probability vector and transport plan.
 DEFAULT_TOLERANCE = 1e-9
 
 # Relative factor for the default support threshold: an entry counts as
@@ -66,13 +68,12 @@ class PointCloud:
 class ProbabilityVector:
     """Nonnegative weights summing to one.
 
-    Entries dipping below zero by at most `tolerance` are clamped to zero.
-    A total mass off from one by less than size * tolerance is renormalized;
-    anything worse is rejected.
+    Entries dipping below zero by at most DEFAULT_TOLERANCE are clamped to
+    zero. A total mass off from one by less than size * DEFAULT_TOLERANCE is
+    renormalized; anything worse is rejected.
     """
 
     weights: np.ndarray
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
@@ -80,13 +81,15 @@ class ProbabilityVector:
             raise ValueError("weights must be a nonempty 1-d array")
         if not np.isfinite(w).all():
             raise ValueError("weights contain nonfinite values")
-        if (w < -self.tolerance).any():
+        if (w < -DEFAULT_TOLERANCE).any():
             worst = float(w.min())
-            raise ValueError(f"negative weight {worst} below tolerance {self.tolerance}")
+            raise ValueError(f"negative weight {worst} below tolerance {DEFAULT_TOLERANCE}")
         np.maximum(w, 0.0, out=w)
         total = float(w.sum())
-        if abs(total - 1.0) > w.size * self.tolerance:
-            raise ValueError(f"weights sum to {total}, not 1 within {w.size} * {self.tolerance}")
+        if abs(total - 1.0) > w.size * DEFAULT_TOLERANCE:
+            raise ValueError(
+                f"weights sum to {total}, not 1 within {w.size} * {DEFAULT_TOLERANCE}"
+            )
         if total != 1.0:
             w /= total
         object.__setattr__(self, "weights", _frozen_array(w))
@@ -136,13 +139,13 @@ class TransportPlan:
     """A nonnegative coupling whose rows sum to a prescribed source.
 
     The column marginal is optional: relaxed solvers leave it free, exact
-    transport pins it. Entries below zero by at most `tolerance` are clamped.
+    transport pins it. Every row sum, column sum and entry sign is checked to
+    DEFAULT_TOLERANCE; entries below zero by at most that are clamped.
     """
 
     entries: np.ndarray
     row_target: ProbabilityVector
     column_target: ProbabilityVector | None = None
-    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         p = np.asarray(self.entries, dtype=float).copy()
@@ -153,16 +156,16 @@ class TransportPlan:
             raise ValueError(f"plan has {n} rows but row target has {self.row_target.size}")
         if not np.isfinite(p).all():
             raise ValueError("plan contains nonfinite entries")
-        if (p < -self.tolerance).any():
-            raise ValueError(f"plan entry {float(p.min())} below -{self.tolerance}")
+        if (p < -DEFAULT_TOLERANCE).any():
+            raise ValueError(f"plan entry {float(p.min())} below -{DEFAULT_TOLERANCE}")
         row_err = np.abs(p.sum(axis=1) - self.row_target.weights).max()
-        if row_err > self.tolerance:
+        if row_err > DEFAULT_TOLERANCE:
             raise ValueError(f"row sums deviate from target by {float(row_err)}")
         if self.column_target is not None:
             if m != self.column_target.size:
                 raise ValueError("column target size does not match plan width")
             col_err = np.abs(p.sum(axis=0) - self.column_target.weights).max()
-            if col_err > self.tolerance:
+            if col_err > DEFAULT_TOLERANCE:
                 raise ValueError(f"column sums deviate from target by {float(col_err)}")
         np.maximum(p, 0.0, out=p)
         object.__setattr__(self, "entries", _frozen_array(p))
@@ -170,12 +173,6 @@ class TransportPlan:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
-    def column_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -215,6 +212,18 @@ def build_cost_matrix(source: PointCloud, target: PointCloud | None = None) -> C
         )
     diff = source.points[:, None, :] - target.points[None, :, :]
     return CostMatrix(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def check_relaxation_inputs(cost: CostMatrix, p0: ProbabilityVector, penalty: float) -> None:
+    """The input rule every relaxation shares: a square cost, a marginal of
+    its size and a finite, nonnegative penalty; ValueError otherwise."""
+    n, m = cost.shape
+    if n != m:
+        raise ValueError("cost matrix must be square for self-transport")
+    if p0.size != n:
+        raise ValueError("marginal size does not match the cost matrix")
+    if not (np.isfinite(penalty) and penalty >= 0):
+        raise ValueError("penalty must be finite and nonnegative")
 
 
 def support_cardinality(values, threshold: float | None = None) -> int:

@@ -34,6 +34,7 @@ from .core import (
     ProbabilityVector,
     SolveReport,
     TransportPlan,
+    check_relaxation_inputs,
 )
 from .lp import LinearProgram, solve_lp
 
@@ -168,7 +169,17 @@ def _solve_master_dual(
     return y, theta, bound, int(solution.pivots), (solution.basis, cuts)
 
 
-def _solve_by_cuts(cost, p0, penalty) -> FacilityResult:
+def solve_facility_relaxation(
+    cost: CostMatrix,
+    p0: ProbabilityVector,
+    penalty: float,
+) -> FacilityResult:
+    """Solve the opening-penalized program exactly by cutting planes.
+
+    Returns the plan, the opening levels, the number of cut rounds, and a
+    report whose iteration count is the total of master pivots.
+    """
+    check_relaxation_inputs(cost, p0, penalty)
     n = cost.shape[0]
     active = p0.weights > 0
     weights = p0.weights[active]
@@ -188,16 +199,13 @@ def _solve_by_cuts(cost, p0, penalty) -> FacilityResult:
         if true_value < best_value:
             best_value = true_value
             best_openings = y
-            entries = np.zeros((n, n))
-            entries[active] = fills * weights[:, None]
-            best_plan = entries
+            best_plan = np.zeros((n, n))
+            best_plan[active] = fills * weights[:, None]
         gap = best_value - bound
         if gap <= _GAP_TOLERANCE * max(1.0, abs(best_value)):
             note = f"cutting planes converged in {round_index} rounds"
             if penalty == 0.0:
-                best_openings, note = _tighten_zero_penalty(
-                    best_plan, p0, note
-                )
+                best_openings, note = _tighten_zero_penalty(best_plan, p0, note)
             report = SolveReport(
                 objective=best_value,
                 iterations=total_pivots,
@@ -206,7 +214,7 @@ def _solve_by_cuts(cost, p0, penalty) -> FacilityResult:
                 duality_gap=gap,
             )
             return FacilityResult(
-                plan=TransportPlan(best_plan, p0, tolerance=1e-8),
+                plan=TransportPlan(best_plan, p0),
                 openings=best_openings,
                 report=report,
                 generation_rounds=round_index,
@@ -216,23 +224,3 @@ def _solve_by_cuts(cost, p0, penalty) -> FacilityResult:
         owners = np.flatnonzero(slack > 1e-12 * np.maximum(1.0, values))
         master.add_cuts(owners, marginals[owners], prices[owners])
     raise RuntimeError("cutting planes did not close the gap")
-
-
-def solve_facility_relaxation(
-    cost: CostMatrix,
-    p0: ProbabilityVector,
-    penalty: float,
-) -> FacilityResult:
-    """Solve the opening-penalized program exactly by cutting planes.
-
-    Returns the plan, the opening levels, the number of cut rounds, and a
-    report whose iteration count is the total of master pivots.
-    """
-    n, m = cost.shape
-    if n != m:
-        raise ValueError("cost matrix must be square for self-transport")
-    if p0.size != n:
-        raise ValueError("marginal size does not match the cost matrix")
-    if not (np.isfinite(penalty) and penalty >= 0):
-        raise ValueError("penalty must be finite and nonnegative")
-    return _solve_by_cuts(cost, p0, penalty)

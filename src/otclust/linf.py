@@ -33,6 +33,7 @@ from .core import (
     ProbabilityVector,
     SolveReport,
     TransportPlan,
+    check_relaxation_inputs,
 )
 from .lp import LinearProgram, solve_lp
 from .transport import _staircase
@@ -138,13 +139,10 @@ def solve_linf(
     for the witness plan, and a RuntimeError is raised if its value does not
     confirm the closed form.
     """
-    n, m = cost.shape
-    if n != m:
-        raise ValueError("cost matrix must be square for self-transport")
-    if p0.size != n:
-        raise ValueError("marginal size does not match the cost matrix")
-    if not (np.isfinite(penalty) and penalty > 0):
+    check_relaxation_inputs(cost, p0, penalty)
+    if penalty == 0:
         raise ValueError("penalty must be finite and positive")
+    n = cost.shape[0]
 
     if n == 1:
         plan = TransportPlan(p0.weights.reshape(1, 1).copy(), p0)
@@ -173,7 +171,7 @@ def solve_linf(
     entries = np.clip(witness.primal[: n * n].reshape(n, n), 0.0, None)
     report = SolveReport(objective=objective, iterations=n, status=STATUS_OPTIMAL)
     return LinfResult(
-        plan=TransportPlan(entries, p0, tolerance=1e-8),
+        plan=TransportPlan(entries, p0),
         best_index=best_index,
         best_mass=best_mass,
         report=report,

@@ -37,8 +37,9 @@ class LinearProgram:
     """min objective.x s.t. A x = rhs, x >= 0, with rhs >= 0.
 
     A is column-compressed: column j holds the coefficients
-    vals[colptr[j]:colptr[j + 1]] in rows rowidx[colptr[j]:colptr[j + 1]].
-    Construction sorts each column by row and sums duplicate entries.
+    vals[colptr[j]:colptr[j + 1]] in rows rowidx[colptr[j]:colptr[j + 1]],
+    listed in strictly increasing row order; an unsorted or repeated row is
+    rejected, not merged. A stored zero counts as an entry of its column.
     """
 
     objective: np.ndarray
@@ -70,10 +71,7 @@ class LinearProgram:
             raise ValueError("row index out of range")
         cols = np.repeat(np.arange(n), np.diff(colptr))
         if (np.diff(rowidx)[cols[1:] == cols[:-1]] <= 0).any():
-            keys, inverse = np.unique(cols * m + rowidx, return_inverse=True)
-            vals = np.bincount(inverse, weights=vals, minlength=keys.size)
-            rowidx, cols = keys % m, keys // m
-            colptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+            raise ValueError("rows within a column must be strictly increasing")
         empty = np.bincount(rowidx[vals != 0.0], minlength=m) == 0
         if empty.any():
             raise ValueError(f"row {int(np.argmax(empty))} has no nonzero coefficient")

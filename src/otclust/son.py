@@ -54,6 +54,7 @@ from .core import (
     ProbabilityVector,
     SolveReport,
     TransportPlan,
+    check_relaxation_inputs,
     transport_cost,
 )
 
@@ -121,19 +122,16 @@ def _project_rows(V, radii, out=None, scratch=None):
 
 
 def group_shrink(values, threshold: float, out=None) -> np.ndarray:
-    """Column-wise soft threshold of the Euclidean norm.
+    """Column-wise soft threshold of the Euclidean norm of a 2-d array.
 
-    Each column v becomes max(0, 1 - threshold / ||v||_2) * v; a 1-d input is
-    treated as a single column. out, if given, receives the result and must
-    not overlap values.
+    Each column v becomes max(0, 1 - threshold / ||v||_2) * v. out, if
+    given, receives the result and must not overlap values.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     V = np.asarray(values, dtype=float)
-    squeeze = V.ndim == 1
-    if squeeze:
-        V = V[:, None]
-        out = None if out is None else out[:, None]
+    if V.ndim != 2:
+        raise ValueError("expected a 2-d array")
     if out is None:
         out = np.empty_like(V)
     # the column norms exactly as np.linalg.norm(V, axis=0) computes them,
@@ -143,7 +141,7 @@ def group_shrink(values, threshold: float, out=None) -> np.ndarray:
     ratio = np.zeros_like(norms)
     np.divide(threshold, norms, out=ratio, where=norms > 0)
     np.multiply(V, np.maximum(0.0, 1.0 - ratio)[None, :], out=out)
-    return out[:, 0] if squeeze else out
+    return out
 
 
 # Divisor between the penalty scale and the ADMM step weight. Small divisors
@@ -220,13 +218,7 @@ def solve_son(
     it is divided by ||p0||_2 so a plan concentrated on a single column pays
     exactly `penalty`. max_iterations caps the ADMM iterations.
     """
-    n, m = cost.shape
-    if n != m:
-        raise ValueError("cost matrix must be square for self-transport")
-    if p0.size != n:
-        raise ValueError("marginal size does not match the cost matrix")
-    if not (np.isfinite(penalty) and penalty >= 0):
-        raise ValueError("penalty must be finite and nonnegative")
+    check_relaxation_inputs(cost, p0, penalty)
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
 

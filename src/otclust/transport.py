@@ -73,27 +73,24 @@ def solve_transport(
     sol = solve_lp(lp, initial_basis=rows * m + cols)
     if sol.status != STATUS_OPTIMAL:
         raise RuntimeError(f"transport solve ended with status {sol.status!r}")
-    plan = TransportPlan(sol.primal.reshape(n, m), p0, p1, tolerance=1e-8)
+    plan = TransportPlan(sol.primal.reshape(n, m), p0, p1)
     gap = sol.objective_value - float(lp.rhs @ sol.dual)
     report = SolveReport(sol.objective_value, sol.pivots, sol.status, duality_gap=gap)
     return TransportResult(plan, report)
 
 
-def wasserstein2(
-    source: PointCloud,
-    target: PointCloud,
-    source_weights: ProbabilityVector | None = None,
-    target_weights: ProbabilityVector | None = None,
-) -> tuple[float, float]:
-    """Squared 2-Wasserstein cost and its square root between two clouds.
+def wasserstein2(source: PointCloud, target: PointCloud) -> tuple[float, float]:
+    """Squared 2-Wasserstein cost and its square root between two clouds,
+    each point carrying equal mass.
 
-    Weights default to uniform. The first value is the optimal transport
-    objective under squared Euclidean cost; the second is the metric.
+    The first value is the optimal transport objective under squared
+    Euclidean cost; the second is the metric. solve_transport takes other
+    marginals.
     """
-    wa = source_weights or ProbabilityVector.uniform(source.size)
-    wb = target_weights or ProbabilityVector.uniform(target.size)
     cost = build_cost_matrix(source, target)
-    result = solve_transport(cost, wa, wb)
+    result = solve_transport(
+        cost, ProbabilityVector.uniform(source.size), ProbabilityVector.uniform(target.size)
+    )
     value = max(result.report.objective, 0.0)
     return value, float(np.sqrt(value))
 

@@ -245,7 +245,7 @@ def northwest_corner(p0, p1):
         a[i] -= mass
         b[j] -= mass
         if i == a.size - 1 and j == b.size - 1:
-            return TransportPlan(plan, p0, p1, tolerance=1e-8)
+            return TransportPlan(plan, p0, p1)
         if j == b.size - 1 or (i < a.size - 1 and a[i] <= b[j]):
             i += 1
         else:

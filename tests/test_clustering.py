@@ -19,15 +19,11 @@ from otclust.son import solve_son
 from oracles import reference_row_assignment
 
 
-def plan_from(entries, tolerance=1e-9):
+def plan_from(entries):
     # global rescale to unit mass; preserves every row argmax
     entries = np.asarray(entries, dtype=float)
     entries = entries / entries.sum()
-    return TransportPlan(
-        entries=entries,
-        row_target=ProbabilityVector(entries.sum(axis=1)),
-        tolerance=tolerance,
-    )
+    return TransportPlan(entries=entries, row_target=ProbabilityVector(entries.sum(axis=1)))
 
 
 class TestExtractClusters:

@@ -13,11 +13,7 @@ from otclust import (
     ten_cluster_config,
 )
 from otclust import facility
-from otclust.facility import (
-    FacilityResult,
-    solve_facility_relaxation,
-    _solve_by_cuts,
-)
+from otclust.facility import FacilityResult, solve_facility_relaxation
 
 from oracles import facility_lp, two_phase
 
@@ -141,7 +137,7 @@ class TestSolveFacility:
             instances.append((cost, p0, float(10.0 ** rng.uniform(1.5, 7.0))))
         instances.append((*random_instance(66, 8), 1e7))
         for cost, p0, penalty in instances:
-            cuts = _solve_by_cuts(cost, p0, penalty)
+            cuts = solve_facility_relaxation(cost, p0, penalty)
             assert cuts.report.objective == pytest.approx(
                 explicit_optimum(cost, p0, penalty), rel=1e-9, abs=1e-9
             )

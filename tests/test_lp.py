@@ -86,15 +86,16 @@ class TestProgramValidation:
         with pytest.raises(ValueError):
             program_from_rows([1.0], ([(3, 1.0)],), [1.0])
 
-    def test_duplicate_entries_summed_and_sorted(self):
-        # column 0 lists row 1 twice and out of order
-        lp = LinearProgram(
-            [1.0, 1.0], [0, 3, 4], [1, 0, 1, 0], [2.0, 1.0, 0.5, 1.0], [1.0, 1.0]
-        )
-        assert lp.colptr.tolist() == [0, 2, 3]
-        assert lp.rowidx.tolist() == [0, 1, 0]
-        assert lp.vals.tolist() == [1.0, 2.5, 1.0]
-        assert lp.column(0).tolist() == [1.0, 2.5]
+    def test_unsorted_or_repeated_rows_rejected(self):
+        # column 0 lists its rows out of order, then row 1 twice; neither is
+        # sorted or merged
+        for column in ([1, 0], [0, 1, 1]):
+            rowidx = column + [0]
+            colptr = [0, len(column), len(rowidx)]
+            with pytest.raises(ValueError, match="strictly increasing"):
+                LinearProgram([1.0, 1.0], colptr, rowidx, np.ones(len(rowidx)), [1.0, 1.0])
+        # the same entries listed in increasing row order are accepted
+        LinearProgram([1.0, 1.0], [0, 2, 3], [0, 1, 0], np.ones(3), [1.0, 1.0])
 
     def test_malformed_arrays_rejected(self):
         good = ([1.0, 1.0], [0, 1, 2], [0, 0], [1.0, 1.0], [1.0])
@@ -151,6 +152,26 @@ class TestSolveAgainstEnumeration:
             assert sol.status == want_status
             if want_status == "optimal":
                 assert sol.objective_value == pytest.approx(want_val, abs=1e-9)
+
+
+class TestAntiCycling:
+    def test_beale_example_cycles_until_bland_takes_over(self):
+        # Beale's example in Chvatal's form (Linear Programming, 1983, ch. 3):
+        # from the slack basis, Dantzig pricing with the lowest-index ratio
+        # tie-break returns to the start after six degenerate pivots. After
+        # 3 * 3 degenerate pivots the solve switches to Bland's rule, which
+        # cannot cycle; Dantzig alone would run out the pivot budget.
+        objective = [0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0]
+        rows = (
+            [(0, 1.0), (3, 0.25), (4, -60.0), (5, -0.04), (6, 9.0)],
+            [(1, 1.0), (3, 0.5), (4, -90.0), (5, -0.02), (6, 3.0)],
+            [(2, 1.0), (5, 1.0)],
+        )
+        sol = solve_lp(program_from_rows(objective, rows, [0.0, 0.0, 1.0]))
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(-0.05, abs=1e-12)
+        assert sol.primal == pytest.approx([0.03, 0.0, 0.0, 0.04, 0.0, 1.0, 0.0], abs=1e-12)
+        assert sol.pivots == 12
 
 
 class TestSolutionCertificates:
@@ -245,8 +266,8 @@ class TestStartBasis:
         lp = program_from_rows([0.0] * 3, ([(0, 1.0), (1, 2.0)], [(2, 1.0)]), [1.0, 1.0])
         with pytest.raises(ValueError, match="singular"):
             solve_lp(lp, initial_basis=[0, 1])
-        # column 0 lists row 1 as +1 and -1, a singleton whose entry is 0
-        lp = LinearProgram([0.0] * 3, [0, 2, 3, 4], [1, 1, 0, 1], [1.0, -1.0, 1.0, 1.0], [1.0, 1.0])
+        # column 0 stores a single 0 in row 1, a singleton whose entry is 0
+        lp = LinearProgram([0.0] * 3, [0, 1, 2, 3], [1, 0, 1], [0.0, 1.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="singular"):
             solve_lp(lp, initial_basis=[1, 0])
         # the singleton covers row 0, and columns 1 and 2 are parallel on rows 1 and 2

@@ -164,12 +164,12 @@ class TestProjection:
 
 class TestGroupShrink:
     def test_norm_below_threshold_zeroes_column(self):
-        out = group_shrink(np.array([0.3, 0.4]), 1.0)
-        assert np.array_equal(out, np.zeros(2))
+        out = group_shrink(np.array([[0.3], [0.4]]), 1.0)
+        assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_norm_above_threshold_scales(self):
-        out = group_shrink(np.array([3.0, 4.0]), 1.0)
-        assert np.allclose(out, [2.4, 3.2])
+        out = group_shrink(np.array([[3.0], [4.0]]), 1.0)
+        assert np.allclose(out, [[2.4], [3.2]])
 
     def test_zero_threshold_is_identity(self):
         v = np.array([[1.0, -2.0], [0.5, 0.0]])
@@ -187,7 +187,11 @@ class TestGroupShrink:
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
-            group_shrink(np.ones(2), -1.0)
+            group_shrink(np.ones((2, 1)), -1.0)
+
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError, match="2-d"):
+            group_shrink(np.ones(2), 1.0)
 
     def test_into_buffer_matches_fresh_result(self):
         rng = np.random.default_rng(5)
@@ -196,9 +200,9 @@ class TestGroupShrink:
         out = np.full((4, 6), np.nan)
         assert group_shrink(V, 0.7, out=out) is out
         assert np.array_equal(out, group_shrink(V, 0.7))
-        column = np.empty(4)
-        group_shrink(V[:, 0], 0.7, out=column)
-        assert np.array_equal(column, out[:, 0])
+        column = np.empty((4, 1))
+        group_shrink(V[:, :1], 0.7, out=column)
+        assert np.array_equal(column, out[:, :1])
 
     def test_minimizes_proximal_objective(self):
         # shrink output must beat random perturbations on

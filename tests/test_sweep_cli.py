@@ -7,7 +7,7 @@ import pytest
 import otclust.cli
 import otclust.sweep
 from otclust.cli import main
-from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix
+from otclust.core import CostMatrix, PointCloud, ProbabilityVector, build_cost_matrix
 from otclust.pointio import read_points, write_points
 from otclust.sweep import ExperimentSpec, run_sweep, solve_one
 
@@ -164,13 +164,22 @@ class TestRunSweep:
 
 
 @pytest.mark.parametrize("method", ["son", "lp", "linf"])
-@pytest.mark.parametrize("penalty", [np.nan, np.inf])
+@pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0])
 def test_solvers_reject_nonfinite_penalty(tmp_path, method, penalty):
+    # the three relaxations share one input check
     cloud = read_points(planted_csv(tmp_path))
     cost = build_cost_matrix(cloud)
     p0 = ProbabilityVector.uniform(cloud.size)
     with pytest.raises(ValueError, match="finite"):
         solve_one(method, 10, cost, p0, penalty)
+    with pytest.raises(ValueError, match="square"):
+        solve_one(method, 10, CostMatrix(np.ones((3, 2))), ProbabilityVector.uniform(3), 1.0)
+    with pytest.raises(ValueError, match="marginal size"):
+        solve_one(method, 10, cost, ProbabilityVector.uniform(cloud.size + 1), 1.0)
+    if method == "linf":
+        # the reciprocal of the largest column mass needs a positive penalty
+        with pytest.raises(ValueError, match="positive"):
+            solve_one(method, 10, cost, p0, 0.0)
 
 
 class TestCli:

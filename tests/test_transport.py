@@ -67,8 +67,8 @@ class TestSolveTransport:
         p1 = ProbabilityVector(rng.dirichlet(np.ones(7)))
         cost = CostMatrix(rng.random((5, 7)))
         plan = solve_transport(cost, p0, p1).plan
-        assert plan.row_sums() == pytest.approx(p0.weights, abs=1e-9)
-        assert plan.column_sums() == pytest.approx(p1.weights, abs=1e-9)
+        assert plan.entries.sum(axis=1) == pytest.approx(p0.weights, abs=1e-9)
+        assert plan.entries.sum(axis=0) == pytest.approx(p1.weights, abs=1e-9)
 
     def test_size_mismatch_rejected(self):
         cost = CostMatrix(np.ones((2, 3)))
@@ -118,8 +118,8 @@ class TestNorthwestCorner:
             p1 = ProbabilityVector(rng.dirichlet(np.ones(m)))
             plan = northwest_corner(p0, p1)
             assert (plan.entries > 0).sum() <= n + m - 1
-            assert plan.row_sums() == pytest.approx(p0.weights, abs=1e-9)
-            assert plan.column_sums() == pytest.approx(p1.weights, abs=1e-9)
+            assert plan.entries.sum(axis=1) == pytest.approx(p0.weights, abs=1e-9)
+            assert plan.entries.sum(axis=0) == pytest.approx(p1.weights, abs=1e-9)
 
     def test_walk_is_a_staircase_of_n_plus_m_minus_1_cells(self):
         rng = np.random.default_rng(32)
@@ -191,8 +191,8 @@ class TestStaircaseWarmStart:
         assert result.report.objective == pytest.approx(
             _cold_objective(cost, p0, p1), abs=1e-9
         )
-        assert result.plan.row_sums() == pytest.approx(p0.weights, abs=1e-9)
-        assert result.plan.column_sums() == pytest.approx(p1.weights, abs=1e-9)
+        assert result.plan.entries.sum(axis=1) == pytest.approx(p0.weights, abs=1e-9)
+        assert result.plan.entries.sum(axis=0) == pytest.approx(p1.weights, abs=1e-9)
 
     def test_duplicate_points_match_cold_solve(self):
         rng = np.random.default_rng(5)
