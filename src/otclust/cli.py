@@ -4,7 +4,8 @@ Subcommands: generate, cluster, sweep, plot, omt. All flags are
 long-form. The exit code is 0 only when every solve the invocation ran
 reported convergence, so shell scripts can gate on it. Output paths
 default into the directory named by the OTCLUST_OUTDIR environment
-variable when a flag leaves them unset; all files are written atomically.
+variable when a flag leaves them unset. This module writes every output,
+atomically, to a destination it checked with the inputs before any solve.
 """
 
 from __future__ import annotations
@@ -40,15 +41,23 @@ __all__ = ["main"]
 OUTDIR_VARIABLE = "OTCLUST_OUTDIR"
 
 
-def _default_path(explicit, filename):
+def _destination(explicit, filename, directory=None):
+    """The checked path of an output: explicit, else filename in directory or
+    OTCLUST_OUTDIR, created when missing; None means stdout."""
     if explicit is not None:
-        return Path(explicit)
-    base = os.environ.get(OUTDIR_VARIABLE)
-    if base:
-        directory = Path(base)
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory / filename
-    return None
+        target = Path(explicit)
+    else:
+        directory = directory or os.environ.get(OUTDIR_VARIABLE)
+        if not directory:
+            return None
+        try:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot make output directory {directory}: {exc.strerror}") from None
+        target = Path(directory) / filename
+    if not target.parent.is_dir() or target.is_dir():
+        raise ValueError(f"cannot write {target}: not a file path in an existing directory")
+    return target
 
 
 def _emit_json(document, path):
@@ -61,7 +70,7 @@ def _emit_json(document, path):
 
 @contextmanager
 def _input_checks(args):
-    """A file that cannot be read or does not fit is a usage error, exit 2."""
+    """An unreadable or unfit input, or an unwritable output, is a usage error, exit 2."""
     try:
         yield
     except (OSError, ValueError) as exc:
@@ -70,9 +79,10 @@ def _input_checks(args):
 
 def _cmd_generate(args) -> int:
     config = builtin_config(args.config, args.samples_per_component, args.seed)
-    target = _default_path(args.out, "points.csv")
-    if target is None:
-        args.usage_error("generate needs --out or OTCLUST_OUTDIR")
+    with _input_checks(args):
+        target = _destination(args.out, "points.csv")
+        if target is None:
+            raise ValueError("generate needs --out or OTCLUST_OUTDIR")
     write_points(sample_gaussian_mixture(config), target)
     return 0
 
@@ -84,14 +94,16 @@ def _cmd_cluster(args) -> int:
         cloud = read_points(args.points)
         if args.svg is not None and cloud.dimension != 2:
             raise ValueError(f"--svg needs 2-d points, got dimension {cloud.dimension}")
+        target = _destination(args.out, f"cluster-{args.method}.json")
+        figure = None if args.svg is None else _destination(args.svg, None)
     p0 = ProbabilityVector.uniform(cloud.size)
     cost = build_cost_matrix(cloud)
     result = solve_one(args.method, args.max_iterations, cost, p0, args.penalty)
     document, clusters = solution_entry(args.penalty, result, cloud.labels)
     document.update(method=args.method, assignment=[int(j) for j in clusters.assignment])
-    _emit_json(document, _default_path(args.out, f"cluster-{args.method}.json"))
-    if args.svg is not None:
-        emit_scatter_svg(cloud, clusters, Path(args.svg))
+    _emit_json(document, target)
+    if figure is not None:
+        emit_scatter_svg(cloud, clusters, figure)
     return 0 if document["status"] == "optimal" else 1
 
 
@@ -126,13 +138,13 @@ def _cmd_sweep(args) -> int:
             method=args.method,
             lambda_grid=_parse_grid(args),
             seed=args.seed,
-            output_directory=args.out or os.environ.get(OUTDIR_VARIABLE),
             max_iterations=args.max_iterations,
             jobs=args.jobs,
         )
+        tag = Path(spec.dataset).stem.replace(" ", "_")
+        target = _destination(None, f"sweep-{spec.method}-{tag}.json", args.out)
     report = run_sweep(spec)
-    if report.path is None:
-        sys.stdout.write(format_report_json(report.document))
+    _emit_json(report.document, target)
     return 0 if report.all_converged else 1
 
 
@@ -143,14 +155,16 @@ def _cmd_plot(args) -> int:
             raise ValueError(f"plot needs 2-d points, got dimension {cloud.dimension}")
         with open(args.result) as stream:
             stored = json.load(stream)
-        if "assignment" not in stored:
+        if not isinstance(stored, dict) or "assignment" not in stored:
             raise ValueError(f"{args.result} carries no per-point assignment")
-        assignment = np.asarray(stored["assignment"], dtype=int)
-        if assignment.shape != (cloud.size,):
-            raise ValueError(f"{args.result}: {assignment.size} assignments, {cloud.size} points")
-    target = _default_path(args.out, "clusters.svg")
-    if target is None:
-        args.usage_error("plot needs --out or OTCLUST_OUTDIR")
+        assignment, size = stored["assignment"], cloud.size
+        if not isinstance(assignment, list) or len(assignment) != size:
+            raise ValueError(f"{args.result}: assignment is not a list of {size} entries")
+        if any(type(j) is not int or not 0 <= j < size for j in assignment):
+            raise ValueError(f"{args.result}: assignment entries must be integers in [0, {size})")
+        target = _destination(args.out, "clusters.svg")
+        if target is None:
+            raise ValueError("plot needs --out or OTCLUST_OUTDIR")
     emit_scatter_svg(cloud, ClusteringResult(assignment), target)
     return 0
 
@@ -161,6 +175,7 @@ def _cmd_omt(args) -> int:
         target = read_points(args.target)
         if source.dimension != target.dimension:
             raise ValueError(f"dimension mismatch: {source.dimension} vs {target.dimension}")
+        destination = _destination(args.out, "omt.json")
     cost, distance = wasserstein2(source, target)
     document = {
         "source": str(args.source),
@@ -168,7 +183,7 @@ def _cmd_omt(args) -> int:
         "transport_cost": twelve_digits(cost),
         "wasserstein2": twelve_digits(distance),
     }
-    _emit_json(document, _default_path(args.out, "omt.json"))
+    _emit_json(document, destination)
     return 0
 
 

@@ -14,12 +14,13 @@ The solver never writes out the n^2 coupling rows. It eliminates the plan
 block instead: with the openings fixed, each row independently fills its
 unit of mass into the cheapest sites the caps allow, a sorted greedy scan.
 That inner value is convex piecewise-linear in the openings, so the outer
-problem is solved by cutting planes, with the small master program solved
-through its dual to keep the basis tiny. In the dual a new cut is a new
-column, so each master solve starts phase 2 from the previous optimal
-basis. The lower bound from the master meets the upper bound from the
-greedy fill at an exact optimum of the full program, for every instance
-size.
+problem is solved by cutting planes. Any unit opening solves the master
+without cuts, so round 1 fills from site 0 with no LP; each later master is
+solved through its dual to keep the basis tiny. In the dual a new cut is a
+new column, so each master solve starts phase 2 from the previous basis,
+the slacks for the first. The lower bound from the master meets the upper
+bound from the greedy fill at an exact optimum of the full program, for
+every instance size.
 """
 
 from __future__ import annotations
@@ -142,23 +143,20 @@ class _MasterColumns:
 
 def _solve_master_dual(
     master: _MasterColumns,
-    previous: tuple[np.ndarray, int] | None,
+    previous: tuple[np.ndarray, int],
 ):
     """Solve the cutting-plane master through its dual.
 
-    previous is (basis, cut count) of the last master solve. Cuts added
-    since then are new columns, so that basis is still primal feasible and
-    starts phase 2 once its ids past the old cuts shift by the number of new
-    cuts. A master without cuts is not carried over: its optimum sets every
-    opening row tight at once, a vertex so degenerate that starting from it
-    costs more pivots than the crash basis. Master primal values are the
-    negated row duals. Returns (y, theta, bound, pivots, (basis, cut count)).
+    previous is (basis, cut count) of the last master solve, or the slack
+    basis and 0 before the first. Cuts added since then are new columns, so
+    that basis is still primal feasible and starts phase 2 once its ids past
+    the old cuts shift by the number of new cuts. Master primal values are
+    the negated row duals. Returns (y, theta, bound, pivots, (basis, cut
+    count)).
     """
     n, cuts = master.n, master.objective.size
-    initial = None
-    if previous is not None and previous[1] > 0:
-        basis, old_cuts = previous
-        initial = np.where(basis < old_cuts, basis, basis + cuts - old_cuts)
+    basis, old_cuts = previous
+    initial = np.where(basis < old_cuts, basis, basis + cuts - old_cuts)
     solution = solve_lp(master.program(), initial_basis=initial)
     if solution.status != STATUS_OPTIMAL:
         raise RuntimeError(f"cut master ended with {solution.status}")
@@ -186,14 +184,17 @@ def solve_facility_relaxation(
     filler = _GreedyFiller(cost.entries, active)
 
     master = _MasterColumns(n, weights, penalty)
-    basis = None
+    y, theta, bound = np.eye(1, n)[0], np.zeros(weights.size), float(penalty)
+    # slack ids of the master without cuts, past its sum column and n bounds
+    basis = (1 + n + np.arange(n + weights.size), 0)
     total_pivots = 0
     best_value = np.inf
     best_plan = None
     best_openings = None
     for round_index in range(1, _MAX_CUT_ROUNDS + 1):
-        y, theta, bound, pivots, basis = _solve_master_dual(master, basis)
-        total_pivots += pivots
+        if round_index > 1:
+            y, theta, bound, pivots, basis = _solve_master_dual(master, basis)
+            total_pivots += pivots
         values, fills, marginals, prices = filler.fill(y)
         true_value = penalty * float(y.sum()) + float(weights @ values)
         if true_value < best_value:

@@ -11,9 +11,8 @@ index on ties); after 3 * constraint_count consecutive degenerate pivots it
 switches to Bland's rule until a nondegenerate step occurs, which guarantees
 termination.
 
-There is no phase 1: a solve starts from a primal feasible basis, either the
-caller's or the crash basis, which takes the first positive singleton column
-of each row as its slack. A program with neither is rejected.
+There is no phase 1: a solve starts from the caller's basis, which must be
+primal feasible.
 """
 
 from __future__ import annotations
@@ -128,6 +127,7 @@ class _SimplexState:
         self.pivots = 0
         self.in_basis = np.zeros(lp.variable_count, dtype=bool)
         self.in_basis[basis] = True
+        self.binv = np.empty((lp.constraint_count, lp.constraint_count))
         self.refactor()
 
     def refactor(self):
@@ -162,11 +162,11 @@ class _SimplexState:
         coupling = np.zeros((U.size, N.size))
         coupling[slot[rows[covered]], col[covered]] = vals[covered]
         try:
-            # rebinding frees M before binv is allocated
+            # rebinding frees M before its inverse is written into binv
             bump = np.linalg.inv(bump)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("basis matrix became singular") from exc
-        self.binv = np.zeros((m, m))
+        self.binv.fill(0.0)
         self.binv[U, s] = 1.0 / v
         self.binv[np.ix_(N, R)] = bump
         self.binv[np.ix_(U, R)] = (coupling @ bump) / -v[:, None]
@@ -229,28 +229,17 @@ def _run_simplex(state: _SimplexState) -> str:
             use_bland = False
 
 
-def solve_lp(lp: LinearProgram, initial_basis=None) -> LpSolution:
+def solve_lp(lp: LinearProgram, initial_basis) -> LpSolution:
     """Solve a standard-form program from a primal feasible basis.
 
-    The start is initial_basis (column ids, one per row) when given, else
-    the crash basis. ValueError is raised when there is no crash
-    basis, or when the start is singular or not primal feasible. Resolving
+    The start is initial_basis, column ids, one per row. ValueError is
+    raised when the start is singular or not primal feasible. Resolving
     from an optimal basis therefore costs zero pivots.
     """
     m, n = lp.constraint_count, lp.variable_count
-    if initial_basis is None:
-        # crash: the first positive singleton column of each row
-        singles = np.flatnonzero(np.diff(lp.colptr) == 1)
-        singles = singles[lp.vals[lp.colptr[singles]] > 0]
-        rows, first = np.unique(lp.rowidx[lp.colptr[singles]], return_index=True)
-        if rows.size < m:
-            missing = int(np.setdiff1d(np.arange(m), rows)[0])
-            raise ValueError(f"row {missing} has no positive singleton column and no basis")
-        basis = singles[first]
-    else:
-        basis = np.array(list(initial_basis), dtype=np.int64)
-        if basis.shape != (m,) or (basis < 0).any() or (basis >= n).any():
-            raise ValueError("initial basis must name one column per row")
+    basis = np.array(list(initial_basis), dtype=np.int64)
+    if basis.shape != (m,) or (basis < 0).any() or (basis >= n).any():
+        raise ValueError("initial basis must name one column per row")
     try:
         state = _SimplexState(lp, basis, _PIVOT_BUDGET_FACTOR * (n + m))
     except RuntimeError:

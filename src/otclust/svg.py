@@ -67,6 +67,8 @@ def emit_scatter_svg(points: PointCloud, result: ClusteringResult, path) -> None
         )
     if result.assignment.shape != (points.size,):
         raise ValueError("clustering does not match the cloud size")
+    if (result.assignment < 0).any() or (result.assignment >= points.size).any():
+        raise ValueError("assignment entries must be point indices in [0, n)")
     coords = points.points
     low = coords.min(axis=0)
     high = coords.max(axis=0)

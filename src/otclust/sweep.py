@@ -13,8 +13,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .core import PointCloud, ProbabilityVector, build_cost_matrix
 from .datagen import BUILTIN_CONFIGS, builtin_config, sample_gaussian_mixture
 from .facility import solve_facility_relaxation
 from .linf import solve_linf
-from .pointio import atomic_write_text, read_points
+from .pointio import read_points
 from .son import MAX_ITERATIONS, solve_son
 from .transport import solve_transport
 
@@ -43,7 +42,6 @@ class ExperimentSpec:
     method: str
     lambda_grid: tuple[float, ...]
     seed: int | None = None
-    output_directory: str | None = None
     max_iterations: int = MAX_ITERATIONS
     jobs: int = 1
 
@@ -67,8 +65,7 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class SweepReport:
     document: dict
-    path: Path | None
-    results: tuple[dict, ...] = field(default=())
+    results: tuple[dict, ...] = ()
 
     @property
     def all_converged(self) -> bool:
@@ -140,7 +137,8 @@ def format_report_json(document: dict) -> str:
 
 
 def run_sweep(spec: ExperimentSpec) -> SweepReport:
-    """Solve every grid point, never aborting on per-point failures."""
+    """Solve every grid point, never aborting on per-point failures; the
+    report is returned, not written."""
     cloud = load_dataset(spec)
     p0 = ProbabilityVector.uniform(cloud.size)
     cost = build_cost_matrix(cloud)
@@ -162,11 +160,4 @@ def run_sweep(spec: ExperimentSpec) -> SweepReport:
         "lambda_grid": [twelve_digits(v) for v in spec.lambda_grid],
         "results": results,
     }
-    path = None
-    if spec.output_directory is not None:
-        out_dir = Path(spec.output_directory)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dataset_tag = Path(spec.dataset).stem.replace(" ", "_")
-        path = out_dir / f"sweep-{spec.method}-{dataset_tag}.json"
-        atomic_write_text(path, format_report_json(document))
-    return SweepReport(document=document, path=path, results=tuple(results))
+    return SweepReport(document=document, results=tuple(results))

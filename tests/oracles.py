@@ -105,7 +105,8 @@ def two_phase(program):
 
     Phase 1 gives each row without a positive singleton column an
     artificial unit column (ids from variable_count on) and minimizes their
-    sum from the crash basis. Each artificial still basic at zero leaves on
+    sum from the basis of each row's first positive singleton or its
+    artificial. Each artificial still basic at zero leaves on
     the first structural column with a nonzero entry in its row of B^-1 A;
     a row with no such column is a combination of the others, so it is
     dropped, keeps its artificial id in the basis and gets dual 0. Phase 2
@@ -114,14 +115,16 @@ def two_phase(program):
     m, n = program.constraint_count, program.variable_count
     A = np.zeros((m, n))
     A[program.rowidx, np.repeat(np.arange(n), np.diff(program.colptr))] = program.vals
-    singles = (np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0) > 0)
-    uncovered = np.flatnonzero(~(A[:, singles] > 0).any(axis=1))
+    singles = (A > 0) & (np.count_nonzero(A, axis=0) == 1)
+    uncovered = np.flatnonzero(~singles.any(axis=1))
     k = uncovered.size
+    start = np.argmax(singles, axis=1)
+    start[uncovered] = n + np.arange(k)
     if k == 0:
-        return solve_lp(_dense_program(program.objective, A, program.rhs))
+        return solve_lp(_dense_program(program.objective, A, program.rhs), start)
     full = np.hstack([A, np.zeros((m, k))])
     full[uncovered, n + np.arange(k)] = 1.0
-    first = solve_lp(_dense_program(np.repeat([0.0, 1.0], [n, k]), full, program.rhs))
+    first = solve_lp(_dense_program(np.repeat([0.0, 1.0], [n, k]), full, program.rhs), start)
     basis, pivots = first.basis.copy(), first.pivots
     if first.status != STATUS_OPTIMAL:
         return LpSolution(first.primal[:n], np.nan, basis, first.status, None, pivots)

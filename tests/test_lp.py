@@ -54,14 +54,14 @@ class TestStandardForm:
     def test_single_upper_bound(self):
         # max x subject to x + s = 1
         lp = program_from_rows([-1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0])
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, initial_basis=[1])
         assert sol.status == "optimal"
         assert sol.primal[0] == pytest.approx(1.0)
 
     def test_equality_pair(self):
         # min x subject to x + y = 1
         lp = program_from_rows([1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0])
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, initial_basis=[1])
         assert sol.primal == pytest.approx([0.0, 1.0])
 
     def test_conflicting_rows_detected_in_phase1(self):
@@ -167,7 +167,8 @@ class TestAntiCycling:
             [(1, 1.0), (3, 0.5), (4, -90.0), (5, -0.02), (6, 3.0)],
             [(2, 1.0), (5, 1.0)],
         )
-        sol = solve_lp(program_from_rows(objective, rows, [0.0, 0.0, 1.0]))
+        program = program_from_rows(objective, rows, [0.0, 0.0, 1.0])
+        sol = solve_lp(program, initial_basis=[0, 1, 2])
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-12)
         assert sol.primal == pytest.approx([0.03, 0.0, 0.0, 0.04, 0.0, 1.0, 0.0], abs=1e-12)
@@ -205,11 +206,11 @@ class TestSolutionCertificates:
         assert resolved > 0
 
     def test_pivot_budget_reported(self, monkeypatch):
-        # a slack in every row, so the solve starts from the crash basis
+        # a slack in every row, so the solve starts from the slack columns
         monkeypatch.setattr(otclust.lp, "_PIVOT_BUDGET_FACTOR", 0)
         rng = np.random.default_rng(3)
         _, c, A, b = random_program(rng, 6, 3)
-        sol = solve_lp(with_slacks(c, A, b))
+        sol = solve_lp(with_slacks(c, A, b), initial_basis=6 + np.arange(3))
         assert sol.status == "max_iterations"
 
 
@@ -242,15 +243,13 @@ class TestRedundantRows:
 
 
 class TestStartBasis:
-    """solve_lp runs from a primal feasible basis or rejects the program."""
+    """solve_lp runs from the caller's primal feasible basis or rejects it."""
 
     def test_row_without_a_slack_needs_a_basis(self):
         # x + y + s = 2 has a slack, x + y = 1 has none
         lp = program_from_rows(
             [1.0, 1.0, 0.0], ([(0, 1.0), (1, 1.0), (2, 1.0)], [(0, 1.0), (1, 1.0)]), [2.0, 1.0]
         )
-        with pytest.raises(ValueError, match="row 1 "):
-            solve_lp(lp)
         assert solve_lp(lp, initial_basis=[2, 0]).objective_value == pytest.approx(1.0)
 
     def test_singular_basis_rejected(self):
@@ -287,7 +286,8 @@ class TestStartBasis:
         )
         with pytest.raises(ValueError, match="not primal feasible"):
             solve_lp(lp, initial_basis=[0, 2])
-        assert solve_lp(lp).status == "optimal"
+        # from the slacks {s, t}: s = 2 and t = 1
+        assert solve_lp(lp, initial_basis=[1, 2]).status == "optimal"
 
 
 def assert_inverts(state):

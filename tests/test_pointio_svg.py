@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otclust.clustering import extract_clusters
+from otclust.clustering import ClusteringResult, extract_clusters
 from otclust.core import PointCloud, ProbabilityVector, TransportPlan
 from otclust.datagen import four_cluster_config, sample_gaussian_mixture
 from otclust.pointio import read_points, write_points
@@ -132,6 +132,14 @@ class TestScatterSvg:
         cloud = PointCloud(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="size"):
             emit_scatter_svg(cloud, diagonal_clustering(4), tmp_path / "x.svg")
+
+    @pytest.mark.parametrize("assignment", [[0, 0, 7], [0, -1, -1]])
+    def test_rejects_assignment_out_of_range(self, tmp_path, assignment):
+        # an entry must name one of the cloud's points
+        cloud = PointCloud(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="point indices"):
+            emit_scatter_svg(cloud, ClusteringResult(assignment), tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
 
     def test_palette_has_twelve_styles(self):
         assert PALETTE_SIZE == 12

@@ -9,7 +9,7 @@ import otclust.sweep
 from otclust.cli import main
 from otclust.core import CostMatrix, PointCloud, ProbabilityVector, build_cost_matrix
 from otclust.pointio import read_points, write_points
-from otclust.sweep import ExperimentSpec, run_sweep, solve_one
+from otclust.sweep import ExperimentSpec, format_report_json, run_sweep, solve_one
 
 SCHEMA_PATH = "src/otclust/schemas/sweep.schema.json"
 
@@ -121,21 +121,13 @@ class TestRunSweep:
         assert not report.all_converged
 
     def test_json_deterministic_and_schema_valid(self, tmp_path):
-        csv_path = planted_csv(tmp_path)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        results = []
-        for out in (out_a, out_b):
-            spec = ExperimentSpec(
-                dataset=str(csv_path),
-                method="lp",
-                lambda_grid=(0.1, 2.0, 500.0),
-                output_directory=str(out),
-                jobs=2,
-            )
-            results.append(run_sweep(spec))
-        text_a = results[0].path.read_bytes()
-        text_b = results[1].path.read_bytes()
+        spec = ExperimentSpec(
+            dataset=str(planted_csv(tmp_path)),
+            method="lp",
+            lambda_grid=(0.1, 2.0, 500.0),
+            jobs=2,
+        )
+        text_a, text_b = (format_report_json(run_sweep(spec).document) for _ in range(2))
         assert text_a == text_b
         document = json.loads(text_a)
         jsonschema.validate(document, load_schema())
@@ -307,7 +299,8 @@ class TestCli:
         "case",
         [
             "cluster-missing", "cluster-nan", "cluster-svg-line", "omt-dimensions",
-            "plot-length", "plot-bad-json", "plot-line", "sweep-missing", "sweep-nan",
+            "plot-length", "plot-bad-json", "plot-line", "plot-index-high",
+            "plot-index-negative", "plot-index-fraction", "sweep-missing", "sweep-nan",
         ],
     )
     def test_bad_input_file_is_usage_error(self, tmp_path, capsys, monkeypatch, case):
@@ -328,6 +321,11 @@ class TestCli:
         pair.write_text(json.dumps({"assignment": [0, 1]}))
         broken = tmp_path / "broken.json"
         broken.write_text("{")
+        # each entry of a stored assignment must be a point index in [0, 6)
+        stored = {}
+        for name, last in (("high", 7), ("negative", -1), ("fraction", 0.7)):
+            stored[name] = tmp_path / f"{name}.json"
+            stored[name].write_text(json.dumps({"assignment": [0, 0, 0, 3, 3, last]}))
         argv = {
             "cluster-missing": ["cluster", "--points", str(tmp_path / "missing.csv")],
             "cluster-nan": ["cluster", "--points", str(nan)],
@@ -337,6 +335,9 @@ class TestCli:
             "plot-length": ["plot", "--points", good, "--result", str(short)],
             "plot-bad-json": ["plot", "--points", good, "--result", str(broken)],
             "plot-line": ["plot", "--points", str(line), "--result", str(pair)],
+            "plot-index-high": ["plot", "--points", good, "--result", str(stored["high"])],
+            "plot-index-negative": ["plot", "--points", good, "--result", str(stored["negative"])],
+            "plot-index-fraction": ["plot", "--points", good, "--result", str(stored["fraction"])],
             "sweep-missing": ["sweep", "--points", str(tmp_path / "missing.csv")],
             "sweep-nan": ["sweep", "--points", str(nan)],
         }[case]
@@ -351,6 +352,58 @@ class TestCli:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
         assert solves == []
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "sweep-out-file", "cluster-out-no-dir", "cluster-svg-no-dir", "generate-out-no-dir",
+            "plot-out-dir", "outdir-file-generate", "outdir-file-cluster", "outdir-file-sweep",
+            "outdir-file-plot", "outdir-file-omt",
+        ],
+    )
+    def test_bad_destination_is_usage_error(self, tmp_path, capsys, monkeypatch, case):
+        # every destination is checked with the inputs, before any solve or write
+        calls = []
+        record = lambda *args: calls.append(args)
+        monkeypatch.setattr(otclust.cli, "solve_one", record)
+        monkeypatch.setattr(otclust.sweep, "solve_one", record)
+        monkeypatch.setattr(otclust.cli, "wasserstein2", record)
+        monkeypatch.setattr(otclust.cli, "emit_scatter_svg", record)
+        monkeypatch.setattr(otclust.cli, "write_points", record)
+        monkeypatch.setattr(otclust.cli, "atomic_write_text", record)
+        good = str(planted_csv(tmp_path))
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({"assignment": [0, 0, 0, 3, 3, 3]}))
+        occupied = tmp_path / "occupied"
+        occupied.write_text("a file, not a directory\n")
+        missing = tmp_path / "missing"
+        cluster = ["cluster", "--points", good, "--method", "lp", "--lambda", "1"]
+        sweep = ["sweep", "--points", good, "--method", "lp", "--lambdas", "1"]
+        generate = ["generate", "--config", "four-cluster", "--samples-per-component", "1"]
+        plot = ["plot", "--points", good, "--result", str(result)]
+        omt = ["omt", "--source", good, "--target", good]
+        argv = {
+            "sweep-out-file": [*sweep, "--out", str(occupied)],
+            "cluster-out-no-dir": [*cluster, "--out", str(missing / "r.json")],
+            "cluster-svg-no-dir": [*cluster, "--svg", str(missing / "r.svg")],
+            "generate-out-no-dir": [*generate, "--out", str(missing / "p.csv")],
+            "plot-out-dir": [*plot, "--out", str(tmp_path)],
+            "outdir-file-generate": generate,
+            "outdir-file-cluster": cluster,
+            "outdir-file-sweep": sweep,
+            "outdir-file-plot": plot,
+            "outdir-file-omt": omt,
+        }[case]
+        if case.startswith("outdir-file"):
+            monkeypatch.setenv("OTCLUST_OUTDIR", str(occupied))
+        else:
+            monkeypatch.delenv("OTCLUST_OUTDIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+        assert not missing.exists()
 
     @pytest.mark.parametrize("command", ["cluster", "sweep"])
     @pytest.mark.parametrize(
@@ -444,7 +497,7 @@ class TestCli:
         assert single == entry
         assert cluster_code == sweep_code == (1 if extra else 0)
 
-    def test_sweep_writes_report(self, tmp_path):
+    def test_sweep_writes_report(self, tmp_path, monkeypatch, capsys):
         csv_path = planted_csv(tmp_path)
         out = tmp_path / "reports"
         code = main(
@@ -458,6 +511,10 @@ class TestCli:
         document = json.loads(report_path.read_text())
         jsonschema.validate(document, load_schema())
         assert len(document["results"]) == 4
+        # the file holds the bytes the same sweep prints without a destination
+        monkeypatch.delenv("OTCLUST_OUTDIR", raising=False)
+        main(["sweep", "--points", str(csv_path), "--method", "lp", "--log-grid", "0.5,50,4"])
+        assert report_path.read_text() == capsys.readouterr().out
 
     def test_sweep_stdout_when_no_destination(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("OTCLUST_OUTDIR", raising=False)
