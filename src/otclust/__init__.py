@@ -9,7 +9,6 @@ from .core import (
     SolveReport,
     TransportPlan,
     build_cost_matrix,
-    support_cardinality,
     transport_cost,
 )
 from .datagen import (
@@ -21,7 +20,7 @@ from .datagen import (
 from .facility import FacilityResult, solve_facility_relaxation
 from .linf import LinfResult, solve_linf
 from .pointio import read_points, write_points
-from .son import SonResult, group_shrink, project_scaled_simplex, solve_son
+from .son import SonResult, group_shrink, solve_son
 from .svg import emit_scatter_svg
 from .sweep import ExperimentSpec, SweepReport, run_sweep
 from .transport import TransportResult, solve_transport, wasserstein2
@@ -33,14 +32,12 @@ __all__ = [
     "SolveReport",
     "TransportPlan",
     "build_cost_matrix",
-    "support_cardinality",
     "transport_cost",
     "TransportResult",
     "solve_transport",
     "wasserstein2",
     "SonResult",
     "group_shrink",
-    "project_scaled_simplex",
     "solve_son",
     "FacilityResult",
     "solve_facility_relaxation",

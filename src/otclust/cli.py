@@ -122,8 +122,8 @@ def _parse_grid(args) -> tuple[float, ...]:
         low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValueError(f"bad --log-grid: {exc}") from None
-    if low <= 0 or high < low or count < 1:
-        raise ValueError("--log-grid wants 0 < MIN <= MAX and COUNT >= 1")
+    if not 0 < low <= high < np.inf or count < 1:
+        raise ValueError("--log-grid wants finite 0 < MIN <= MAX and COUNT >= 1")
     return tuple(float(v) for v in np.geomspace(low, high, count))
 
 

@@ -2,8 +2,7 @@
 
 Weighted point sets, probability vectors, squared-Euclidean cost matrices and
 transport plans, plus the small amount of shared arithmetic the solvers need:
-the relaxations' input check, support counting under a threshold and the
-linear transport cost.
+the relaxations' input check and the linear transport cost.
 
 All types validate on construction and freeze their arrays afterwards.
 """
@@ -17,10 +16,6 @@ import numpy as np
 # Absolute feasibility tolerance applied per constraint; the one tolerance of
 # every probability vector and transport plan.
 DEFAULT_TOLERANCE = 1e-9
-
-# Relative factor for the default support threshold: an entry counts as
-# occupied when it exceeds 1e-6 times the largest entry magnitude.
-SUPPORT_RELATIVE_THRESHOLD = 1e-6
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -224,21 +219,6 @@ def check_relaxation_inputs(cost: CostMatrix, p0: ProbabilityVector, penalty: fl
         raise ValueError("marginal size does not match the cost matrix")
     if not (np.isfinite(penalty) and penalty >= 0):
         raise ValueError("penalty must be finite and nonnegative")
-
-
-def support_cardinality(values, threshold: float | None = None) -> int:
-    """Number of entries whose magnitude exceeds `threshold`.
-
-    threshold=None uses the relative default 1e-6 * max |entry|, so an
-    all-zero vector has empty support.
-    """
-    v = np.asarray(values, dtype=float)
-    if threshold is None:
-        top = float(np.abs(v).max()) if v.size else 0.0
-        threshold = SUPPORT_RELATIVE_THRESHOLD * top
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    return int((np.abs(v) > threshold).sum())
 
 
 def transport_cost(cost: CostMatrix, entries: np.ndarray) -> float:

@@ -168,10 +168,9 @@ def solve_linf(
             f"column {best_index} at t={best_mass}: simplex value {certified!r} "
             f"does not confirm the closed form {objective!r}"
         )
-    entries = np.clip(witness.primal[: n * n].reshape(n, n), 0.0, None)
     report = SolveReport(objective=objective, iterations=n, status=STATUS_OPTIMAL)
     return LinfResult(
-        plan=TransportPlan(entries, p0),
+        plan=TransportPlan(witness.primal.reshape(n, n), p0),
         best_index=best_index,
         best_mass=best_mass,
         report=report,

@@ -120,13 +120,10 @@ class LpSolution:
 class _SimplexState:
     """Basis bookkeeping over the columns of one program."""
 
-    def __init__(self, lp, basis, budget):
+    def __init__(self, lp, basis):
         self.lp = lp
         self.basis = basis
-        self.budget = budget
         self.pivots = 0
-        self.in_basis = np.zeros(lp.variable_count, dtype=bool)
-        self.in_basis[basis] = True
         self.binv = np.empty((lp.constraint_count, lp.constraint_count))
         self.refactor()
 
@@ -171,7 +168,6 @@ class _SimplexState:
         self.binv[np.ix_(N, R)] = bump
         self.binv[np.ix_(U, R)] = (coupling @ bump) / -v[:, None]
         self.xb = self.binv @ lp.rhs
-        self.updated_since_refactor = False
 
     def pivot(self, entering: int, leave_pos: int, d: np.ndarray, theta: float):
         br = self.binv[leave_pos] / d[leave_pos]
@@ -179,17 +175,14 @@ class _SimplexState:
         self.binv[leave_pos] = br
         self.xb -= theta * d
         self.xb[leave_pos] = theta
-        self.in_basis[self.basis[leave_pos]] = False
         self.basis[leave_pos] = entering
-        self.in_basis[entering] = True
         self.pivots += 1
-        self.updated_since_refactor = True
         if self.pivots % _REFACTOR_EVERY == 0:
             self.refactor()
 
 
-def _run_simplex(state: _SimplexState) -> str:
-    """Iterate to optimality for the program's costs."""
+def _run_simplex(state: _SimplexState, budget: int) -> str:
+    """Iterate to optimality for the program's costs, within budget pivots."""
     cost = state.lp.objective
     # reduced costs carry rounding in proportion to the costs themselves
     tolerance = _PIVOT_TOLERANCE * max(1.0, float(np.abs(cost).max()))
@@ -197,11 +190,11 @@ def _run_simplex(state: _SimplexState) -> str:
     degenerate_run = 0
     use_bland = False
     while True:
-        if state.pivots >= state.budget:
+        if state.pivots >= budget:
             return STATUS_MAX_ITERATIONS
         y = cost[state.basis] @ state.binv
         reduced = cost - state.lp.transpose_dot(y)
-        reduced[state.in_basis] = np.inf
+        reduced[state.basis] = np.inf
         if use_bland:
             candidates = np.flatnonzero(reduced < -tolerance)
             if candidates.size == 0:
@@ -241,14 +234,15 @@ def solve_lp(lp: LinearProgram, initial_basis) -> LpSolution:
     if basis.shape != (m,) or (basis < 0).any() or (basis >= n).any():
         raise ValueError("initial basis must name one column per row")
     try:
-        state = _SimplexState(lp, basis, _PIVOT_BUDGET_FACTOR * (n + m))
+        state = _SimplexState(lp, basis)
     except RuntimeError:
         raise ValueError("initial basis is singular") from None
     # basic values carry rounding in proportion to the right-hand side
     if state.xb.min(initial=0.0) < -_RATIO_TOLERANCE * lp.rhs.max(initial=1.0):
         raise ValueError("initial basis is not primal feasible")
-    status = _run_simplex(state)
-    if state.updated_since_refactor:
+    status = _run_simplex(state, _PIVOT_BUDGET_FACTOR * (n + m))
+    # a pivot since the last refactor leaves rank-1 rounding in binv and xb
+    if state.pivots % _REFACTOR_EVERY:
         state.refactor()
     x = np.zeros(n)
     x[state.basis] = state.xb

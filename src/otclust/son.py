@@ -74,25 +74,13 @@ class SonResult:
     residual_history: np.ndarray
 
 
-def project_scaled_simplex(values, radius: float) -> np.ndarray:
-    """Euclidean projection of a vector onto {z >= 0, sum z = radius}.
-
-    Sort-and-threshold: with entries sorted descending, find the largest k
-    whose running mean leaves the k-th entry positive after shifting, then
-    subtract that shift and clamp at zero.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    if v.size == 0:
-        raise ValueError("cannot project an empty vector")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    return _project_rows(v[None, :], np.array([radius]))[0]
-
-
 def _project_rows(V, radii, out=None, scratch=None):
-    """Row-wise scaled-simplex projection; rows with radius 0 become 0.
+    """Euclidean projection of each row of V onto {z >= 0, sum z = radius}.
+
+    Sort-and-threshold: with a row's entries sorted descending, find the
+    largest k whose running mean leaves the k-th entry positive after
+    shifting, then subtract that shift and clamp at zero. Rows with radius
+    0 become 0.
 
     out receives the projection. scratch is a (float, bool) pair of arrays
     shaped like V for the running sums and the threshold test. Both are

@@ -1,6 +1,10 @@
 """Exact discrete optimal transport through the simplex solver.
 
-Every solve starts the simplex from the northwest-corner staircase. The
+Self-transport needs no simplex: when p1 equals p0 and every cost_ii * p0_i
+is 0, diag(p0) costs 0 and, costs being nonnegative, the zero prices are
+dual feasible, so that plan is optimal with a duality gap of 0.
+
+Every other solve starts the simplex from the northwest-corner staircase. The
 walk from cell (0, 0) to (n - 1, m - 1) visits exactly n + m - 1 cells,
 which span every row and column as a tree; their columns are therefore a
 nonsingular basis of the marginal program, and the greedy masses on them
@@ -64,10 +68,15 @@ def solve_transport(
 ) -> TransportResult:
     """Minimize sum_ij cost_ij plan_ij over couplings of p0 and p1.
 
-    The simplex starts from the northwest-corner staircase basis (cell
-    (i, j) is column i * m + j).
+    Self-transport at zero diagonal cost returns diag(p0) with 0 iterations;
+    any other solve starts the simplex from the northwest-corner staircase
+    basis (cell (i, j) is column i * m + j).
     """
     n, m = cost.shape
+    if (p0.size == n == m and np.array_equal(p0.weights, p1.weights)
+            and not (cost.entries.diagonal() * p0.weights).any()):
+        plan = TransportPlan(np.diag(p0.weights), p0, p1)
+        return TransportResult(plan, SolveReport(0.0, 0, STATUS_OPTIMAL, duality_gap=0.0))
     lp = transport_program(cost, p0, p1)
     rows, cols, _ = _staircase(p0.weights, p1.weights)
     sol = solve_lp(lp, initial_basis=rows * m + cols)

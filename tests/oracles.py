@@ -8,8 +8,9 @@ textbook two-phase simplex for programs without a ready start basis, run as
 phase-1 and phase-2 calls of `solve_lp`, which itself only runs from a
 feasible basis. The facility relaxation and linf's pinned-column transport
 program are written out in full for the generic simplex, as LP references
-for the cutting-plane and closed-form solvers, and `support_envelope`
-writes the envelope of the column count as a subset LP for it. `son_reference` is the ADMM loop for `son` written with
+for the cutting-plane and closed-form solvers. `support_cardinality`
+counts occupied columns, and `support_envelope` writes the envelope of
+that count as a subset LP. `son_reference` is the ADMM loop for `son` written with
 a fresh array per operation, the bit-for-bit reference for the solver's
 in-place loop; `reference_row_assignment` is the clustering rule one row at
 a time. `medoid_dual_excess` checks the single-site dual of `son` one column
@@ -311,6 +312,19 @@ def son_surrogate(entries, weights):
     if scale == 0.0:
         raise ValueError("row target has zero mass")
     return float(np.linalg.norm(entries, axis=0).sum() / scale)
+
+
+def support_cardinality(values, threshold=None):
+    """Number of entries whose magnitude exceeds `threshold`, the occupied
+    column count that bounds the surrogates from above.
+
+    threshold=None uses the relative default 1e-6 * max |entry|, so an
+    all-zero vector has empty support.
+    """
+    v = np.abs(np.asarray(values, dtype=float))
+    if threshold is None:
+        threshold = 1e-6 * float(v.max(initial=0.0))
+    return int((v > threshold).sum())
 
 
 def support_envelope(plan, weights):

@@ -20,16 +20,15 @@ from otclust import (
     build_cost_matrix,
     extract_clusters,
     four_cluster_config,
-    project_scaled_simplex,
     run_sweep,
     sample_gaussian_mixture,
     solve_facility_relaxation,
     solve_linf,
     solve_son,
     solve_transport,
-    support_cardinality,
 )
 from otclust.cli import main
+from otclust.son import _project_rows
 
 from oracles import (
     enumerate_lp,
@@ -37,6 +36,7 @@ from oracles import (
     program_from_rows,
     projection_threshold_scan,
     son_surrogate,
+    support_cardinality,
     two_phase,
 )
 
@@ -76,7 +76,8 @@ def test_criterion_1_transport_matches_permutation_oracle():
         rng = np.random.default_rng(101)
         for trial in range(200):
             n = int(rng.integers(3, 7))
-            cost = build_cost_matrix(random_cloud(rng, n))
+            # two clouds: a cloud onto itself is solved in closed form
+            cost = build_cost_matrix(random_cloud(rng, n), random_cloud(rng, n))
             marginal = ProbabilityVector.uniform(n)
             result = solve_transport(cost, marginal, marginal)
             best = min(
@@ -124,19 +125,18 @@ def test_criterion_3_simplex_projection_matches_grid_search():
         for trial in range(500):
             n = int(rng.integers(1, 5))
             v = rng.normal(size=n) * 3.0
-            radius = float(rng.uniform(0.05, 2.0))
-            projected = project_scaled_simplex(v, radius)
-            reference = projection_threshold_scan(v, radius)
-            assert np.abs(projected - reference).max() <= 2e-4, f"trial {trial}"
-            again = project_scaled_simplex(projected, radius)
+            radius = np.array([float(rng.uniform(0.05, 2.0))])
+            projected = _project_rows(v[None, :], radius)
+            reference = projection_threshold_scan(v, radius[0])
+            assert np.abs(projected[0] - reference).max() <= 2e-4, f"trial {trial}"
+            again = _project_rows(projected, radius)
             assert np.abs(again - projected).max() <= 1e-9
         for trial in range(200):
             n = int(rng.integers(1, 5))
             u = rng.normal(size=n) * 3.0
             v = rng.normal(size=n) * 3.0
             radius = float(rng.uniform(0.05, 2.0))
-            pu = project_scaled_simplex(u, radius)
-            pv = project_scaled_simplex(v, radius)
+            pu, pv = _project_rows(np.stack([u, v]), np.array([radius, radius]))
             assert (
                 np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9
             ), f"pair {trial}"

@@ -5,7 +5,6 @@ from otclust import (
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
-    support_cardinality,
 )
 from otclust.clustering import (
     _TIE_TOLERANCE,
@@ -16,7 +15,7 @@ from otclust.clustering import (
 from otclust.core import TransportPlan
 from otclust.son import solve_son
 
-from oracles import reference_row_assignment
+from oracles import reference_row_assignment, support_cardinality
 
 
 def plan_from(entries):

@@ -302,7 +302,7 @@ class TestRefactor:
     @staticmethod
     def refactored(A, basis):
         lp = _dense_program(np.zeros(A.shape[1]), A, np.ones(A.shape[0]))
-        return otclust.lp._SimplexState(lp, np.array(basis), budget=0)
+        return otclust.lp._SimplexState(lp, np.array(basis))
 
     def test_singletons_with_structural_columns(self):
         # singletons 2.0, -1.0 and 1.0 on rows 4, 2 and 0; the structural
@@ -348,5 +348,8 @@ class TestRefactor:
         program = transport_program(cost, u, u)
         rows, cols, _ = _staircase(u.weights, u.weights)
         solution = solve_lp(program, initial_basis=rows * n + cols)
-        assert solution.pivots > otclust.lp._REFACTOR_EVERY
-        assert otclust.lp._REFACTOR_EVERY in refactored_at
+        every = otclust.lp._REFACTOR_EVERY
+        assert solution.pivots > every
+        # at the start, every _REFACTOR_EVERY pivots, and once at the end
+        # unless the last pivot has just refactored
+        assert refactored_at == list(range(0, solution.pivots, every)) + [solution.pivots]

@@ -12,7 +12,6 @@ from otclust import (
     build_cost_matrix,
     four_cluster_config,
     sample_gaussian_mixture,
-    support_cardinality,
     ten_cluster_config,
     transport_cost,
 )
@@ -26,7 +25,6 @@ from otclust.son import (
     _initial_rho,
     _project_rows,
     group_shrink,
-    project_scaled_simplex,
     solve_son,
 )
 
@@ -37,6 +35,7 @@ from oracles import (
     reference_project_rows,
     son_reference,
     son_surrogate,
+    support_cardinality,
 )
 
 
@@ -44,46 +43,39 @@ def lowest_argmax(row, tol=1e-9):
     return int(np.flatnonzero(row >= row.max() - tol)[0])
 
 
+def project(values, radius):
+    """_project_rows on a single row."""
+    return _project_rows(np.array([values], dtype=float), np.array([radius]))[0]
+
+
 class TestProjection:
     def test_already_feasible_is_fixed(self):
         v = np.array([0.5, 0.5])
-        assert np.allclose(project_scaled_simplex(v, 1.0), v)
+        assert np.allclose(project(v, 1.0), v)
 
     def test_vertex_is_fixed(self):
         v = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(project_scaled_simplex(v, 1.0), v)
+        assert np.allclose(project(v, 1.0), v)
 
     def test_uniform_shift(self):
         # all entries equal: the shift spreads the radius evenly
-        out = project_scaled_simplex(np.array([0.3, 0.3, 0.3]), 0.3)
+        out = project(np.array([0.3, 0.3, 0.3]), 0.3)
         assert np.allclose(out, [0.1, 0.1, 0.1])
 
     def test_negative_entry_clamped(self):
-        out = project_scaled_simplex(np.array([1.0, -1.0]), 1.0)
+        out = project(np.array([1.0, -1.0]), 1.0)
         assert np.allclose(out, [1.0, 0.0])
 
     def test_radius_zero(self):
-        out = project_scaled_simplex(np.array([3.0, -2.0, 5.0]), 0.0)
+        out = project(np.array([3.0, -2.0, 5.0]), 0.0)
         assert np.array_equal(out, np.zeros(3))
 
     def test_radius_rescales(self):
         # shift 1.5 puts the second entry below zero, so the mass lands on
         # the first coordinate alone
-        out = project_scaled_simplex(np.array([2.0, 1.0]), 0.5)
+        out = project(np.array([2.0, 1.0]), 0.5)
         assert out.sum() == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(out, [0.5, 0.0])
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            project_scaled_simplex(np.array([1.0]), -0.1)
-
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError):
-            project_scaled_simplex(np.ones((2, 2)), 1.0)
-
-    def test_rejects_empty_vector(self):
-        with pytest.raises(ValueError, match="empty"):
-            project_scaled_simplex(np.array([]), 1.0)
 
     def test_rows_match_reference_with_and_without_buffers(self):
         # zero radii and ties included; reused buffers must not carry over
@@ -98,13 +90,22 @@ class TestProjection:
             assert _project_rows(V, radii, out=out, scratch=scratch) is out
             assert np.array_equal(out, want)
 
+    def test_batch_matches_rows_projected_one_at_a_time(self):
+        # each row is sorted, summed and thresholded on its own
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            V = rng.normal(size=(7, 9)) * rng.uniform(0.1, 5.0)
+            radii = rng.uniform(0.0, 3.0, size=7) * (rng.random(7) < 0.8)
+            rows = [project(v, r) for v, r in zip(V, radii)]
+            assert np.array_equal(_project_rows(V, radii), np.array(rows))
+
     def test_feasibility_random(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(1, 12))
             v = rng.normal(size=n) * rng.uniform(0.1, 5.0)
             r = float(rng.uniform(0.01, 3.0))
-            z = project_scaled_simplex(v, r)
+            z = project(v, r)
             assert z.min() >= 0.0
             assert z.sum() == pytest.approx(r, abs=1e-9)
 
@@ -114,7 +115,7 @@ class TestProjection:
             n = int(rng.integers(2, 9))
             v = rng.normal(size=n)
             r = float(rng.uniform(0.05, 2.0))
-            got = project_scaled_simplex(v, r)
+            got = project(v, r)
             ref = projection_threshold_scan(v, r)
             assert np.abs(got - ref).max() < 2e-4
 
@@ -125,8 +126,8 @@ class TestProjection:
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, values, radius):
         v = np.array(values)
-        once = project_scaled_simplex(v, radius)
-        twice = project_scaled_simplex(once, radius)
+        once = project(v, radius)
+        twice = project(once, radius)
         assert np.abs(once - twice).max() <= 1e-9
 
     @given(
@@ -144,8 +145,8 @@ class TestProjection:
             )
         )
         r = data.draw(st.floats(0.01, 5.0))
-        pu = project_scaled_simplex(u, r)
-        pv = project_scaled_simplex(v, r)
+        pu = project(u, r)
+        pv = project(v, r)
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-9
 
     def test_optimality_against_random_feasible_points(self):
@@ -155,7 +156,7 @@ class TestProjection:
             n = int(rng.integers(2, 7))
             v = rng.normal(size=n) * 2
             r = float(rng.uniform(0.1, 2.0))
-            z = project_scaled_simplex(v, r)
+            z = project(v, r)
             base = np.linalg.norm(z - v)
             for _ in range(40):
                 w = rng.dirichlet(np.ones(n)) * r

@@ -265,6 +265,10 @@ class TestCli:
             ["--points", csv_path, "--method", "lp", "--log-grid", "0,10,3"],
             ["--points", csv_path, "--method", "lp", "--log-grid", "1,10"],
             ["--points", csv_path, "--method", "lp", "--log-grid", "1,10,x"],
+            # a nonfinite bound would reach np.geomspace and its RuntimeWarning
+            ["--points", csv_path, "--method", "lp", "--log-grid", "1,inf,3"],
+            ["--points", csv_path, "--method", "lp", "--log-grid", "1,1e400,3"],
+            ["--points", csv_path, "--method", "lp", "--log-grid", "nan,10,3"],
             ["--points", csv_path, "--method", "lp", "--lambdas", "x"],
             ["--method", "lp", "--lambdas", "1"],
             ["--points", csv_path, "--config", "four-cluster", "--method", "lp", "--lambdas", "1"],

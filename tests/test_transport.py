@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import otclust.transport
 from otclust import (
     CostMatrix,
     PointCloud,
@@ -54,8 +55,8 @@ class TestSolveTransport:
         rng = np.random.default_rng(42)
         for n in (3, 4, 5, 6):
             for _ in range(10):
-                pts = rng.random((n, 2))
-                cost = build_cost_matrix(PointCloud(pts))
+                source, target = PointCloud(rng.random((n, 2))), PointCloud(rng.random((n, 2)))
+                cost = build_cost_matrix(source, target)
                 u = ProbabilityVector.uniform(n)
                 got = solve_transport(cost, u, u).report.objective
                 want = permutation_transport_cost(cost.entries)
@@ -69,6 +70,47 @@ class TestSolveTransport:
         plan = solve_transport(cost, p0, p1).plan
         assert plan.entries.sum(axis=1) == pytest.approx(p0.weights, abs=1e-9)
         assert plan.entries.sum(axis=0) == pytest.approx(p1.weights, abs=1e-9)
+
+    def test_self_transport_is_diagonal_without_a_solve(self, monkeypatch):
+        # duplicate points and zero weights: diag(p) still costs exactly 0
+        monkeypatch.setattr(otclust.transport, "solve_lp", None)
+        cloud = PointCloud(np.repeat([[0.0, 0.0], [1.0, 2.0]], 3, axis=0))
+        p = ProbabilityVector(np.array([0.0, 0.25, 0.25, 0.0, 0.5, 0.0]))
+        result = solve_transport(build_cost_matrix(cloud), p, p)
+        assert np.array_equal(result.plan.entries, np.diag(p.weights))
+        assert result.report.objective == 0.0
+        assert result.report.iterations == 0
+        assert result.report.duality_gap == 0.0
+
+    def test_positive_diagonal_under_zero_weight_keeps_the_closed_form(self, monkeypatch):
+        monkeypatch.setattr(otclust.transport, "solve_lp", None)
+        cost = CostMatrix(np.array([[0.0, 1.0, 1.0], [1.0, 5.0, 1.0], [1.0, 1.0, 0.0]]))
+        p = ProbabilityVector(np.array([0.5, 0.0, 0.5]))
+        result = solve_transport(cost, p, p)
+        assert np.array_equal(result.plan.entries, np.diag(p.weights))
+        assert result.report.iterations == 0
+
+    def test_other_marginal_or_positive_diagonal_runs_the_simplex(self, monkeypatch):
+        calls, solve_lp = [], otclust.transport.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(otclust.transport, "solve_lp", counted)
+        cloud = PointCloud([[0.0], [1.0], [3.0]])
+        p0 = ProbabilityVector(np.array([0.2, 0.3, 0.5]))
+        p1 = ProbabilityVector(np.array([0.3, 0.3, 0.4]))
+        result = solve_transport(build_cost_matrix(cloud), p0, p1)
+        assert calls == [1]
+        assert result.report.objective == pytest.approx(0.5, abs=1e-12)
+        # a positive diagonal: moving each point's mass to the other is free
+        swap = CostMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        u = ProbabilityVector.uniform(2)
+        result = solve_transport(swap, u, u)
+        assert calls == [1, 1]
+        assert result.report.objective == pytest.approx(0.0, abs=1e-12)
+        assert result.plan.entries == pytest.approx(np.array([[0.0, 0.5], [0.5, 0.0]]), abs=1e-12)
 
     def test_size_mismatch_rejected(self):
         cost = CostMatrix(np.ones((2, 3)))
@@ -213,13 +255,14 @@ class TestStaircaseWarmStart:
         assert result.report.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_staircase_basis_is_adopted(self):
-        # the oracle's cold two-phase solve takes 3,957 pivots here; the
-        # staircase's plan is already the optimal diagonal one
-        cloud = sample_gaussian_mixture(four_cluster_config())
-        cost = build_cost_matrix(cloud)
-        p = ProbabilityVector.uniform(cloud.size)
+        # the oracle's cold two-phase solve takes 3,972 pivots here and the
+        # staircase start 315
+        source = sample_gaussian_mixture(four_cluster_config())
+        target = sample_gaussian_mixture(four_cluster_config(seed=8))
+        cost = build_cost_matrix(source, target)
+        p = ProbabilityVector.uniform(source.size)
         report = solve_transport(cost, p, p).report
-        assert report.objective == pytest.approx(0.0, abs=1e-12)
+        assert report.status == "optimal"
         assert report.iterations < 500
 
     @pytest.mark.parametrize("n, m", [(1, 6), (5, 8), (8, 5), (20, 30)])
