@@ -36,8 +36,6 @@ from .sweep import (
 )
 from .transport import wasserstein2
 
-__all__ = ["main"]
-
 OUTDIR_VARIABLE = "OTCLUST_OUTDIR"
 
 

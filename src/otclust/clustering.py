@@ -14,8 +14,6 @@ import numpy as np
 
 from .core import TransportPlan
 
-__all__ = ["ClusteringResult", "extract_clusters", "adjusted_rand_index"]
-
 
 # Entries within this much of their row's maximum tie with it.
 _TIE_TOLERANCE = 1e-9

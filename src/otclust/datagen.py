@@ -25,16 +25,6 @@ import numpy as np
 
 from .core import PointCloud
 
-__all__ = [
-    "BUILTIN_CONFIGS",
-    "MixtureConfig",
-    "RandomStream",
-    "builtin_config",
-    "four_cluster_config",
-    "ten_cluster_config",
-    "sample_gaussian_mixture",
-]
-
 _MASK = (1 << 64) - 1
 
 FOUR_CLUSTER_MEANS = (

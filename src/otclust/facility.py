@@ -90,12 +90,10 @@ class _GreedyFiller:
         fills = np.where(slots < kstar[:, None], caps, 0.0)
         fills[self.rows, kstar] = np.clip(1.0 - before, 0.0, None)
         values = (fills * self.sorted_costs).sum(axis=1)
-        prices = np.maximum(marginal[:, None] - self.sorted_costs, 0.0)
+        prices = np.maximum(marginal[:, None] - self.costs, 0.0)
         fills_unsorted = np.empty_like(fills)
         np.put_along_axis(fills_unsorted, self.order, fills, axis=1)
-        prices_unsorted = np.empty_like(prices)
-        np.put_along_axis(prices_unsorted, self.order, prices, axis=1)
-        return values, fills_unsorted, marginal, prices_unsorted
+        return values, fills_unsorted, marginal, prices
 
 
 class _MasterColumns:

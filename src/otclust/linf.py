@@ -86,12 +86,15 @@ def _column_minima(costs: np.ndarray, weights: np.ndarray, penalty: float):
     )
     stationary = ends.copy()
     rising = slopes > 0
-    stationary[rising] = np.clip(
-        np.sqrt(penalty / slopes[rising]), starts[rising], ends[rising]
-    )
-    t = np.stack([ends, stationary])
-    reciprocal = np.full(t.shape, np.inf)
-    np.divide(penalty, t, out=reciprocal, where=t > 0)
+    # penalty over a tiny slope or mass overflows only near the float limit,
+    # where +inf is the exact limit: the clip or the argmin then passes it by
+    with np.errstate(over="ignore"):
+        stationary[rising] = np.clip(
+            np.sqrt(penalty / slopes[rising]), starts[rising], ends[rising]
+        )
+        t = np.stack([ends, stationary])
+        reciprocal = np.full(t.shape, np.inf)
+        np.divide(penalty, t, out=reciprocal, where=t > 0)
     values = (g_starts + slopes * (t - starts) + reciprocal).reshape(2 * n, n)
     best = np.argmin(values, axis=0)
     columns = np.arange(n)

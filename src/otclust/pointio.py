@@ -18,8 +18,6 @@ import numpy as np
 
 from .core import PointCloud
 
-__all__ = ["read_points", "write_points", "atomic_write_text"]
-
 
 def atomic_write_text(path, text: str) -> None:
     """Write text so readers never observe a half-written file."""

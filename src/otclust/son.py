@@ -161,8 +161,12 @@ def _initial_rho(kappa: float, p0_norm: float) -> float:
 
 
 def _positive_norms(slack) -> np.ndarray:
+    """Column norms of max(slack, 0). Each column is divided by its largest
+    entry before squaring, so slacks of the penalty's size cannot overflow."""
     positive = np.maximum(slack, 0.0)
-    return np.sqrt(np.add.reduce(positive * positive, axis=0))
+    scale = positive.max(axis=0)
+    np.divide(positive, scale, out=positive, where=scale > 0)
+    return scale * np.sqrt(np.add.reduce(positive * positive, axis=0))
 
 
 def _dual_shift(slack, kappa: float) -> float:
@@ -214,15 +218,15 @@ def solve_son(
     weights = p0.weights
     p0_norm = p0.norm2()
     kappa = penalty / p0_norm
+    if not np.isfinite(kappa):
+        raise ValueError(f"penalty {penalty!r} over ||p0||_2 overflows")
     rows = weights > 0
     medoid = int(np.argmin(weights @ C))
     # u - cost[:, j] as (cost[:, s] - cost[:, j]) + kappa p0 / ||p0||, so a
     # duplicate of s gets exactly column s's slack, whose norm is kappa up
     # to rounding and bounds the others. The dual is feasible, the shift
     # of _dual_shift zero, iff no column's norm exceeds that bound.
-    slack = (C[rows, medoid][:, None] - C[rows]) + (kappa / p0_norm) * weights[rows][
-        :, None
-    ]
+    slack = (C[rows, medoid][:, None] - C[rows]) + kappa * (weights[rows][:, None] / p0_norm)
     norms = _positive_norms(slack)
     certified = norms.max() <= max(kappa, norms[medoid])
     if certified:

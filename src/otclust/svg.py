@@ -15,8 +15,6 @@ from .clustering import ClusteringResult
 from .core import PointCloud
 from .pointio import atomic_write_text
 
-__all__ = ["emit_scatter_svg", "PALETTE_SIZE"]
-
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 _SHAPES = ("circle", "square", "triangle", "diamond")
 PALETTE_SIZE = len(_COLORS) * len(_SHAPES)

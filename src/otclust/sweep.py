@@ -26,8 +26,6 @@ from .pointio import read_points
 from .son import MAX_ITERATIONS, solve_son
 from .transport import solve_transport
 
-__all__ = ["ExperimentSpec", "SweepReport", "run_sweep", "format_report_json"]
-
 logger = logging.getLogger(__name__)
 
 METHODS = ("son", "lp", "linf", "exact-omt")

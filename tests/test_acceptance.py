@@ -13,22 +13,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from otclust import (
-    ExperimentSpec,
-    PointCloud,
-    ProbabilityVector,
-    build_cost_matrix,
-    extract_clusters,
-    four_cluster_config,
-    run_sweep,
-    sample_gaussian_mixture,
-    solve_facility_relaxation,
-    solve_linf,
-    solve_son,
-    solve_transport,
-)
 from otclust.cli import main
-from otclust.son import _project_rows
+from otclust.clustering import adjusted_rand_index, extract_clusters
+from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix
+from otclust.datagen import four_cluster_config, sample_gaussian_mixture
+from otclust.facility import solve_facility_relaxation
+from otclust.linf import solve_linf
+from otclust.son import _project_rows, solve_son
+from otclust.sweep import ExperimentSpec, run_sweep
+from otclust.transport import solve_transport
 
 from oracles import (
     enumerate_lp,
@@ -257,8 +250,6 @@ def test_criterion_7_four_cluster_linf_negative_result():
 
         def outcome(penalty):
             clusters = extract_clusters(solve_linf(cost, p0, penalty).plan)
-            from otclust import adjusted_rand_index
-
             ari = adjusted_rand_index(cloud.labels, clusters.assignment)
             sizes = np.bincount(clusters.assignment)
             sizes = sizes[sizes > 0]

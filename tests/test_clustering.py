@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from otclust import (
-    PointCloud,
-    ProbabilityVector,
-    build_cost_matrix,
-)
 from otclust.clustering import (
     _TIE_TOLERANCE,
     ClusteringResult,
     adjusted_rand_index,
     extract_clusters,
 )
-from otclust.core import TransportPlan
+from otclust.core import PointCloud, ProbabilityVector, TransportPlan, build_cost_matrix
 from otclust.son import solve_son
 
 from oracles import reference_row_assignment, support_cardinality

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otclust import (
+from otclust.core import (
     CostMatrix,
     PointCloud,
     ProbabilityVector,

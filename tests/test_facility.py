@@ -3,16 +3,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from otclust import (
-    PointCloud,
-    ProbabilityVector,
-    build_cost_matrix,
-    extract_clusters,
-    four_cluster_config,
-    sample_gaussian_mixture,
-    ten_cluster_config,
-)
 from otclust import facility
+from otclust.clustering import extract_clusters
+from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix
+from otclust.datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
 from otclust.facility import FacilityResult, solve_facility_relaxation
 
 from oracles import facility_lp, two_phase

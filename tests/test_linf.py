@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from otclust import (
+from otclust import linf
+from otclust.core import (
+    CostMatrix,
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
-    four_cluster_config,
-    sample_gaussian_mixture,
     transport_cost,
 )
-from otclust.datagen import builtin_config
-from otclust import linf
+from otclust.datagen import builtin_config, four_cluster_config, sample_gaussian_mixture
 from otclust.linf import LinfResult, _column_minima, solve_linf
 
 from oracles import enumerate_lp, inner_cost
@@ -191,8 +190,6 @@ class TestSolveLinf:
         base = solve_linf(cost, p0, penalty)
         rng = np.random.default_rng(0)
         perm = rng.permutation(5)
-        from otclust import CostMatrix
-
         permuted_cost = CostMatrix(cost.entries[np.ix_(perm, perm)])
         permuted_p0 = ProbabilityVector(p0.weights[perm])
         permuted = solve_linf(permuted_cost, permuted_p0, penalty)

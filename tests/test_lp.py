@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import otclust.lp
-from otclust import CostMatrix, ProbabilityVector
+from otclust.core import CostMatrix, ProbabilityVector
 from otclust.lp import LinearProgram, solve_lp
 from otclust.transport import _staircase, transport_program
 

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otclust import (
+from otclust.core import (
     CostMatrix,
-    solve_facility_relaxation,
-    solve_linf,
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
-    four_cluster_config,
-    sample_gaussian_mixture,
-    ten_cluster_config,
     transport_cost,
 )
+from otclust.datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
+from otclust.facility import solve_facility_relaxation
+from otclust.linf import solve_linf
 from otclust.son import (
     _BALANCING_RATIO,
     _MAX_BALANCING_STEPS,

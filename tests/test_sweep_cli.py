@@ -174,6 +174,28 @@ def test_solvers_reject_nonfinite_penalty(tmp_path, method, penalty):
             solve_one(method, 10, cost, p0, 0.0)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@pytest.mark.parametrize("method", ["son", "lp", "linf"])
+def test_penalties_near_the_float_limit(method):
+    # son's scale penalty / ||p0||_2 overflows above about 2e307 on the
+    # 80-point cloud, an error entry; below that, and for lp and linf up to
+    # the largest doubles, every solve stays finite and raises no RuntimeWarning
+    grid = (1e160, 1e300, 1e307, 1e308, 1.7e308)
+    report = run_sweep(ExperimentSpec("four-cluster", method, grid))
+    json.loads(format_report_json(report.document), parse_constant=_reject_constant)
+    for penalty, entry in zip(grid, report.results):
+        if method == "son" and penalty >= 1e308:
+            assert entry["status"] == "error"
+            assert entry["error"].startswith("ValueError: penalty")
+        else:
+            assert entry["status"] == "optimal", entry
+            assert entry["objective"] == pytest.approx(penalty, rel=1e-12)
+            assert entry["cluster_count"] == 1
+
+
 class TestCli:
     def test_generate_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 import otclust.transport
-from otclust import (
+from otclust.core import (
     CostMatrix,
     PointCloud,
     ProbabilityVector,
     build_cost_matrix,
-    four_cluster_config,
-    sample_gaussian_mixture,
-    solve_transport,
-    ten_cluster_config,
     transport_cost,
+)
+from otclust.datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
+from otclust.facility import _GAP_TOLERANCE
+from otclust.transport import (
+    _staircase,
+    solve_transport,
+    transport_program,
     wasserstein2,
 )
-from otclust.facility import _GAP_TOLERANCE
-from otclust.transport import _staircase, transport_program
 
 from oracles import northwest_corner, permutation_transport_cost, two_phase
 
