@@ -94,9 +94,11 @@ def _cmd_cluster(args) -> int:
             raise ValueError(f"--svg needs 2-d points, got dimension {cloud.dimension}")
         target = _destination(args.out, f"cluster-{args.method}.json")
         figure = None if args.svg is None else _destination(args.svg, None)
-    p0 = ProbabilityVector.uniform(cloud.size)
-    cost = build_cost_matrix(cloud)
-    result = solve_one(args.method, args.max_iterations, cost, p0, args.penalty)
+        # the solver's own ValueError, such as a son penalty whose
+        # penalty / ||p0||_2 overflows, is an unfit input too
+        cost = build_cost_matrix(cloud)
+        p0 = ProbabilityVector.uniform(cloud.size)
+        result = solve_one(args.method, args.max_iterations, cost, p0, args.penalty)
     document, clusters = solution_entry(args.penalty, result, cloud.labels)
     document.update(method=args.method, assignment=[int(j) for j in clusters.assignment])
     _emit_json(document, target)

@@ -21,6 +21,11 @@ new column, so each master solve starts phase 2 from the previous basis,
 the slacks for the first. The lower bound from the master meets the upper
 bound from the greedy fill at an exact optimum of the full program, for
 every instance size.
+
+The loop runs in mean-cost units: cost and penalty are divided by the mean
+pair cost p0' C p0, so its tolerances and the master's pricing, which mixes
+cut intercepts with the unit costs of sum y >= 1 and y <= 1, do not depend
+on the units of the cloud.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .lp import LinearProgram, solve_lp
 
 _MAX_CUT_ROUNDS = 200
 _GAP_TOLERANCE = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -66,11 +72,13 @@ def _tighten_zero_penalty(entries: np.ndarray, p0: ProbabilityVector, note):
 
 
 class _GreedyFiller:
-    """Per-row cheapest-first fills against opening caps, shared across
-    rounds since the cost order never changes."""
+    """Per-row cheapest-first fills against opening caps, on the active rows
+    of cost divided by scale; shared across rounds since the cost order
+    never changes."""
 
-    def __init__(self, cost: np.ndarray, active: np.ndarray):
+    def __init__(self, cost: np.ndarray, active: np.ndarray, scale: float):
         self.costs = cost[active]
+        self.costs /= scale
         self.order = np.argsort(self.costs, axis=1, kind="stable")
         self.sorted_costs = np.take_along_axis(self.costs, self.order, axis=1)
         self.rows = np.arange(self.costs.shape[0])
@@ -173,13 +181,19 @@ def solve_facility_relaxation(
     """Solve the opening-penalized program exactly by cutting planes.
 
     Returns the plan, the opening levels, the number of cut rounds, and a
-    report whose iteration count is the total of master pivots.
+    report whose iteration count is the total of master pivots. The cut loop
+    runs in units of the mean pair cost; objective and gap are reported in
+    the units of cost.
     """
     check_relaxation_inputs(cost, p0, penalty)
     n = cost.shape[0]
     active = p0.weights > 0
     weights = p0.weights[active]
-    filler = _GreedyFiller(cost.entries, active)
+    # the mean pair cost, 1 when that is 0 (one point, or all points equal),
+    # and never so small that the penalty overflows in its units
+    scale = max(float(p0.weights @ cost.entries @ p0.weights) or 1.0, penalty / _FLOAT_MAX)
+    penalty = penalty / scale
+    filler = _GreedyFiller(cost.entries, active, scale)
 
     master = _MasterColumns(n, weights, penalty)
     y, theta, bound = np.eye(1, n)[0], np.zeros(weights.size), float(penalty)
@@ -206,11 +220,11 @@ def solve_facility_relaxation(
             if penalty == 0.0:
                 best_openings, note = _tighten_zero_penalty(best_plan, p0, note)
             report = SolveReport(
-                objective=best_value,
+                objective=best_value * scale,
                 iterations=total_pivots,
                 status=STATUS_OPTIMAL,
                 note=note,
-                duality_gap=gap,
+                duality_gap=gap * scale,
             )
             return FacilityResult(
                 plan=TransportPlan(best_plan, p0),

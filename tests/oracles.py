@@ -23,7 +23,15 @@ import math
 
 import numpy as np
 
-from otclust.core import STATUS_OPTIMAL, TransportPlan
+from otclust.clustering import extract_clusters
+from otclust.core import (
+    STATUS_OPTIMAL,
+    PointCloud,
+    ProbabilityVector,
+    TransportPlan,
+    build_cost_matrix,
+)
+from otclust.datagen import builtin_config, sample_gaussian_mixture
 from otclust.lp import LinearProgram, LpSolution, solve_lp
 from otclust.son import (
     _BALANCING_FACTOR,
@@ -499,3 +507,43 @@ def dual_shift_bisection(slack, kappa, steps=200):
                 hi = mid
         worst = max(worst, hi)
     return worst
+
+
+UNIT_SCALES = (1e-3, 1.0, 1e3)
+# clouds and penalties of the unit tests: ten-cluster at the five
+# criterion-8 penalties where an lp solve in the units of the cloud does not
+# close the gap at s = 1e3, four-cluster at three criterion-6 penalties
+UNIT_TEST_PENALTIES = {
+    "ten-cluster": tuple(np.geomspace(0.05, 2000.0, 30)[[8, 9, 11, 15, 16]]),
+    "four-cluster": tuple(np.geomspace(1.0, 2000.0, 30)[[0, 14, 29]]),
+    "random-12": (2.0, 20.0),
+}
+
+
+def _unit_test_cloud(name):
+    """(points, p0) of a built-in cloud, or of "random-12": 12 random
+    points, the last repeating the first, the second carrying no mass."""
+    if name != "random-12":
+        cloud = sample_gaussian_mixture(builtin_config(name))
+        return cloud.points, ProbabilityVector.uniform(cloud.size)
+    rng = np.random.default_rng(12)
+    points = rng.normal(size=(12, 2)) * 3.0
+    points[-1] = points[0]
+    weights = rng.uniform(0.2, 1.0, size=12)
+    weights[1] = 0.0
+    return points, ProbabilityVector(weights / weights.sum())
+
+
+def unit_scaled_solves(solve, name):
+    """For each penalty of UNIT_TEST_PENALTIES[name], the (status,
+    representatives, objective / s^2) of solve(cost, p0, penalty * s^2) on
+    the cloud with every coordinate times s, one per s in UNIT_SCALES.
+    Costs scale by s^2, so a unit-free solver repeats the triple."""
+    points, p0 = _unit_test_cloud(name)
+    for penalty in UNIT_TEST_PENALTIES[name]:
+        answers = []
+        for s in UNIT_SCALES:
+            result = solve(build_cost_matrix(PointCloud(points * s)), p0, penalty * s**2)
+            representatives = sorted(extract_clusters(result.plan).representatives)
+            answers.append((result.report.status, representatives, result.report.objective / s**2))
+        yield answers

@@ -9,7 +9,7 @@ from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix
 from otclust.datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
 from otclust.facility import FacilityResult, solve_facility_relaxation
 
-from oracles import facility_lp, two_phase
+from oracles import UNIT_TEST_PENALTIES, facility_lp, two_phase, unit_scaled_solves
 
 
 def random_instance(seed, n, scale=3.0, uniform=True):
@@ -159,6 +159,16 @@ class TestSolveFacility:
             explicit_optimum(cost, p0, 1e7), rel=1e-12
         )
 
+    def test_penalty_near_the_float_limit_on_a_small_cloud(self):
+        # the penalty over this cloud's mean cost, about 1.5e-6, overflows;
+        # the loop's unit grows instead, so it stays finite
+        cost, p0 = random_instance(7, 8, scale=1e-3)
+        for penalty in (1e307, 1.7e308, float(np.finfo(float).max)):
+            res = solve_facility_relaxation(cost, p0, penalty)
+            assert res.report.status == "optimal"
+            assert res.report.objective == pytest.approx(penalty, rel=1e-12)
+            assert extract_clusters(res.plan).cluster_count == 1
+
     def test_cut_path_output_is_feasible(self):
         cost, p0 = random_instance(70, 20)
         res = solve_facility_relaxation(cost, p0, 2.0)
@@ -251,6 +261,18 @@ class TestAgainstHighs:
             assert got == pytest.approx(want.fun, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", sorted(UNIT_TEST_PENALTIES))
+def test_solve_is_unit_free(name):
+    # the cut loop runs in mean-cost units, so a change of length unit
+    # changes neither the status, nor the sites, nor the objective in new units
+    for answers in unit_scaled_solves(solve_facility_relaxation, name):
+        _, representatives, objective = answers[1]
+        for status, sites, value in answers:
+            assert status == "optimal"
+            assert sites == representatives
+            assert value == pytest.approx(objective, rel=1e-9)
+
+
 def cold_masters(monkeypatch):
     """Make every master solve start from the slack columns."""
     warm = facility._solve_master_dual
@@ -305,8 +327,8 @@ class TestWarmStartedMaster:
 
     @pytest.mark.parametrize(
         "config, penalty, ceiling",
-        # cold masters take 2,787 and 161 pivots, warm ones 698 and 100
-        [(ten_cluster_config, 1.0, 1000), (four_cluster_config, 74.0, 200)],
+        # cold masters take 2,180 and 159 pivots, warm ones 606 and 99
+        [(ten_cluster_config, 1.0, 650), (four_cluster_config, 74.0, 200)],
     )
     def test_master_pivot_ceiling(self, config, penalty, ceiling):
         cloud = sample_gaussian_mixture(config())

@@ -12,7 +12,7 @@ from otclust.core import (
 from otclust.datagen import builtin_config, four_cluster_config, sample_gaussian_mixture
 from otclust.linf import LinfResult, _column_minima, solve_linf
 
-from oracles import enumerate_lp, inner_cost
+from oracles import UNIT_TEST_PENALTIES, enumerate_lp, inner_cost, unit_scaled_solves
 
 
 def random_instance(seed, n, uniform=False):
@@ -213,6 +213,19 @@ class TestSolveLinf:
         assert res.report.status == "optimal"
         assert res.report.iterations == 3
         assert res.per_index_values.shape == (3,)
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_TEST_PENALTIES))
+def test_solve_is_unit_free(name):
+    # the closed form and its witness solve need no scaling: a change of
+    # length unit changes neither the status, nor the sites, nor the
+    # objective in new units
+    for answers in unit_scaled_solves(solve_linf, name):
+        _, representatives, objective = answers[1]
+        for status, sites, value in answers:
+            assert status == "optimal"
+            assert sites == representatives
+            assert value == pytest.approx(objective, rel=1e-9)
 
 
 def edge_instance(rng, n):

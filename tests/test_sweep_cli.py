@@ -321,6 +321,20 @@ class TestCli:
         assert "--lambda" in capsys.readouterr().err
         assert solves == []
 
+    def test_cluster_solver_input_error_is_usage_error(self, tmp_path, capsys):
+        # son's scale penalty / ||p0||_2 overflows on this cloud; the solver's
+        # ValueError exits 2 with its message, not a traceback, and writes nothing
+        csv_path = str(planted_csv(tmp_path))
+        out = tmp_path / "result.json"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "cluster", "--points", csv_path, "--method", "son",
+                "--lambda", "1e308", "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "case",
         [
