@@ -84,8 +84,8 @@ class _GreedyFiller:
         self.rows = np.arange(self.costs.shape[0])
 
     def fill(self, openings: np.ndarray):
-        """Returns (values, fills, marginal_costs, shadow_prices) of the
-        inner per-row programs at the given openings."""
+        """Returns (values, fills in cost order, marginal_costs) of the inner
+        per-row programs at the given openings."""
         caps = openings[self.order]
         cum = np.cumsum(caps, axis=1)
         reach = cum >= 1.0 - 1e-12
@@ -98,14 +98,11 @@ class _GreedyFiller:
         fills = np.where(slots < kstar[:, None], caps, 0.0)
         fills[self.rows, kstar] = np.clip(1.0 - before, 0.0, None)
         values = (fills * self.sorted_costs).sum(axis=1)
-        prices = np.maximum(marginal[:, None] - self.costs, 0.0)
-        fills_unsorted = np.empty_like(fills)
-        np.put_along_axis(fills_unsorted, self.order, fills, axis=1)
-        return values, fills_unsorted, marginal, prices
+        return values, fills, marginal
 
 
 class _MasterColumns:
-    """The dual of the cutting-plane master as CSC arrays kept across rounds.
+    """The cut master's dual as CSC arrays and its basis, kept across rounds.
 
     Master: min penalty * sum y + sum_i weights_i theta_i subject to
     theta_i + prices . y >= intercept for each cut, sum y >= 1, y <= 1,
@@ -118,59 +115,53 @@ class _MasterColumns:
 
     def __init__(self, n: int, weights: np.ndarray, penalty: float):
         self.n = n
+        self.penalty = penalty
         self.rhs = np.concatenate([np.full(n, penalty), weights])
         self.objective = np.empty(0)
         self.widths = np.empty(0, dtype=np.int64)
         self.rowidx = np.empty(0, dtype=np.int64)
         self.vals = np.empty(0)
+        # the slack columns, past the sum column and the n bounds
+        self.basis = 1 + n + np.arange(self.rhs.size)
 
     def add_cuts(self, owners: np.ndarray, intercepts: np.ndarray, prices: np.ndarray):
-        """One column per cut theta_owner + prices . y >= intercept."""
+        """One column per cut theta_owner + prices . y >= intercept. The new
+        columns go before the sum column, so basis ids past the old cuts
+        shift; the basis stays primal feasible and starts the next phase 2."""
         block = np.zeros((owners.size, self.rhs.size))
         block[:, : self.n] = prices
         block[np.arange(owners.size), self.n + owners] = 1.0
         cut, row = np.nonzero(block)
+        old = self.objective.size
+        self.basis = np.where(self.basis < old, self.basis, self.basis + owners.size)
         self.objective = np.concatenate([self.objective, -intercepts])
         self.widths = np.concatenate([self.widths, np.bincount(cut, minlength=owners.size)])
         self.rowidx = np.concatenate([self.rowidx, row])
         self.vals = np.concatenate([self.vals, block[cut, row]])
 
-    def program(self) -> LinearProgram:
+    def solve(self):
+        """Solve the master through its dual from the kept basis, and keep the
+        new one. Master primal values are the negated row duals. Without cuts
+        any unit opening is optimal, so y = e_0 needs no LP. Returns (y,
+        theta, bound, pivots)."""
         n, rows = self.n, self.rhs.size
+        if not self.objective.size:
+            return np.eye(1, n)[0], np.zeros(rows - n), float(self.penalty), 0
         widths = np.concatenate([self.widths, [n], np.ones(n + rows, dtype=np.int64)])
-        return LinearProgram(
+        program = LinearProgram(
             objective=np.concatenate([self.objective, [-1.0], np.ones(n), np.zeros(rows)]),
             colptr=np.concatenate([[0], np.cumsum(widths)]),
             rowidx=np.concatenate([self.rowidx, np.arange(n), np.arange(n), np.arange(rows)]),
             vals=np.concatenate([self.vals, np.ones(n), -np.ones(n), np.ones(rows)]),
             rhs=self.rhs,
         )
-
-
-def _solve_master_dual(
-    master: _MasterColumns,
-    previous: tuple[np.ndarray, int],
-):
-    """Solve the cutting-plane master through its dual.
-
-    previous is (basis, cut count) of the last master solve, or the slack
-    basis and 0 before the first. Cuts added since then are new columns, so
-    that basis is still primal feasible and starts phase 2 once its ids past
-    the old cuts shift by the number of new cuts. Master primal values are
-    the negated row duals. Returns (y, theta, bound, pivots, (basis, cut
-    count)).
-    """
-    n, cuts = master.n, master.objective.size
-    basis, old_cuts = previous
-    initial = np.where(basis < old_cuts, basis, basis + cuts - old_cuts)
-    solution = solve_lp(master.program(), initial_basis=initial)
-    if solution.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"cut master ended with {solution.status}")
-    primal = -solution.dual
-    y = np.clip(primal[:n], 0.0, 1.0)
-    theta = primal[n:]
-    bound = -float(solution.objective_value)
-    return y, theta, bound, int(solution.pivots), (solution.basis, cuts)
+        solution = solve_lp(program, initial_basis=self.basis)
+        if solution.status != STATUS_OPTIMAL:
+            raise RuntimeError(f"cut master ended with {solution.status}")
+        self.basis = solution.basis
+        primal = -solution.dual
+        bound = -float(solution.objective_value)
+        return np.clip(primal[:n], 0.0, 1.0), primal[n:], bound, int(solution.pivots)
 
 
 def solve_facility_relaxation(
@@ -194,46 +185,44 @@ def solve_facility_relaxation(
     scale = max(float(p0.weights @ cost.entries @ p0.weights) or 1.0, penalty / _FLOAT_MAX)
     penalty = penalty / scale
     filler = _GreedyFiller(cost.entries, active, scale)
-
     master = _MasterColumns(n, weights, penalty)
-    y, theta, bound = np.eye(1, n)[0], np.zeros(weights.size), float(penalty)
-    # slack ids of the master without cuts, past its sum column and n bounds
-    basis = (1 + n + np.arange(n + weights.size), 0)
     total_pivots = 0
-    best_value = np.inf
-    best_plan = None
-    best_openings = None
+    # (value, openings, fills in cost order) of the best round so far
+    best = (np.inf, None, None)
     for round_index in range(1, _MAX_CUT_ROUNDS + 1):
-        if round_index > 1:
-            y, theta, bound, pivots, basis = _solve_master_dual(master, basis)
-            total_pivots += pivots
-        values, fills, marginals, prices = filler.fill(y)
-        true_value = penalty * float(y.sum()) + float(weights @ values)
-        if true_value < best_value:
-            best_value = true_value
-            best_openings = y
-            best_plan = np.zeros((n, n))
-            best_plan[active] = fills * weights[:, None]
-        gap = best_value - bound
-        if gap <= _GAP_TOLERANCE * max(1.0, abs(best_value)):
-            note = f"cutting planes converged in {round_index} rounds"
-            if penalty == 0.0:
-                best_openings, note = _tighten_zero_penalty(best_plan, p0, note)
-            report = SolveReport(
-                objective=best_value * scale,
-                iterations=total_pivots,
-                status=STATUS_OPTIMAL,
-                note=note,
-                duality_gap=gap * scale,
-            )
-            return FacilityResult(
-                plan=TransportPlan(best_plan, p0),
-                openings=best_openings,
-                report=report,
-                generation_rounds=round_index,
-            )
-        # cut only the rows whose master value still undershoots the fill
+        y, theta, bound, pivots = master.solve()
+        total_pivots += pivots
+        values, fills, marginals = filler.fill(y)
+        value = penalty * float(y.sum()) + float(weights @ values)
+        if value < best[0]:
+            best = (value, y, fills)
+        gap = best[0] - bound
+        if gap <= _GAP_TOLERANCE * max(1.0, abs(best[0])):
+            break
+        # cut only the rows whose master value still undershoots the fill,
+        # priced at their fill's marginal cost
         slack = values - theta
         owners = np.flatnonzero(slack > 1e-12 * np.maximum(1.0, values))
-        master.add_cuts(owners, marginals[owners], prices[owners])
-    raise RuntimeError("cutting planes did not close the gap")
+        prices = np.maximum(marginals[owners, None] - filler.costs[owners], 0.0)
+        master.add_cuts(owners, marginals[owners], prices)
+    else:
+        raise RuntimeError("cutting planes did not close the gap")
+    best_value, openings, fills = best
+    plan = np.zeros((n, n))
+    plan[np.flatnonzero(active)[:, None], filler.order] = fills * weights[:, None]
+    note = f"cutting planes converged in {round_index} rounds"
+    if penalty == 0.0:
+        openings, note = _tighten_zero_penalty(plan, p0, note)
+    report = SolveReport(
+        objective=best_value * scale,
+        iterations=total_pivots,
+        status=STATUS_OPTIMAL,
+        note=note,
+        duality_gap=gap * scale,
+    )
+    return FacilityResult(
+        plan=TransportPlan(plan, p0),
+        openings=openings,
+        report=report,
+        generation_rounds=round_index,
+    )

@@ -5,7 +5,7 @@ import pytest
 
 from otclust import facility
 from otclust.clustering import extract_clusters
-from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix
+from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix, transport_cost
 from otclust.datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
 from otclust.facility import FacilityResult, solve_facility_relaxation
 
@@ -275,11 +275,14 @@ def test_solve_is_unit_free(name):
 
 def cold_masters(monkeypatch):
     """Make every master solve start from the slack columns."""
-    warm = facility._solve_master_dual
-    monkeypatch.setattr(
-        facility, "_solve_master_dual",
-        lambda master, previous: warm(master, (1 + master.n + np.arange(master.rhs.size), 0)),
-    )
+    warm = facility._MasterColumns.solve
+
+    def cold(master):
+        # the slacks come last, past the cuts, the sum column and n bounds
+        master.basis = master.objective.size + 1 + master.n + np.arange(master.rhs.size)
+        return warm(master)
+
+    monkeypatch.setattr(facility._MasterColumns, "solve", cold)
 
 
 class TestWarmStartedMaster:
@@ -383,3 +386,26 @@ def test_duality_gap_on_acceptance_grid():
         report = solve_facility_relaxation(cost, p0, penalty).report
         scale = max(1.0, abs(report.objective))
         assert -1e-12 * scale <= report.duality_gap <= facility._GAP_TOLERANCE * scale
+
+
+@pytest.mark.parametrize(
+    "config, low, index",
+    # four-cluster 2.853 keeps round 4 of 5 and 39.23 round 2 of 3; the
+    # ten-cluster points 5.78 and 17.3 have fractional openings
+    [
+        (four_cluster_config, 1.0, 4),
+        (four_cluster_config, 1.0, 14),
+        (ten_cluster_config, 0.05, 13),
+        (ten_cluster_config, 0.05, 16),
+    ],
+)
+def test_plan_and_openings_come_from_the_same_round(config, low, index):
+    # the loop keeps its best round's openings and fills, and scatters the
+    # fills into the plan once; priced together they give the objective
+    cloud = sample_gaussian_mixture(config())
+    cost = build_cost_matrix(cloud)
+    p0 = ProbabilityVector.uniform(cloud.size)
+    penalty = float(np.geomspace(low, 2000.0, 30)[index])
+    res = solve_facility_relaxation(cost, p0, penalty)
+    value = transport_cost(cost, res.plan.entries) + penalty * float(res.openings.sum())
+    assert value == pytest.approx(res.report.objective, rel=1e-12, abs=0.0)

@@ -9,6 +9,7 @@ read here, never imported, so nothing is written under perfbench/.
 """
 
 import ast
+import dataclasses
 import importlib
 import logging
 import runpy
@@ -45,6 +46,20 @@ def _planted_csv(tmp_path):
     path = tmp_path / "planted.csv"
     write_points(PointCloud(points, labels=np.array([0, 0, 0, 1, 1, 1])), path)
     return str(path)
+
+
+def test_workloads_build_experiment_specs_from_existing_fields():
+    # perfbench/workloads.py builds each sweep's ExperimentSpec by keyword;
+    # a field it names that the package drops would crash every benchmark run
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    keywords = {
+        keyword.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ExperimentSpec")
+        for keyword in node.keywords
+    }
+    assert {"dataset", "method", "lambda_grid"} <= keywords
+    assert keywords <= {field.name for field in dataclasses.fields(ExperimentSpec)}
 
 
 def test_every_tracer_hook_resolves():
