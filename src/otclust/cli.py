@@ -131,8 +131,6 @@ def _cmd_sweep(args) -> int:
     if (args.points is None) == (args.config is None):
         args.usage_error("pass exactly one of --points or --config")
     with _input_checks(args):
-        if args.points is not None:
-            read_points(args.points)  # run_sweep reads it again; this only checks it
         spec = ExperimentSpec(
             dataset=args.points if args.points is not None else args.config,
             method=args.method,
@@ -143,7 +141,8 @@ def _cmd_sweep(args) -> int:
         )
         tag = Path(spec.dataset).stem.replace(" ", "_")
         target = _destination(None, f"sweep-{spec.method}-{tag}.json", args.out)
-    report = run_sweep(spec)
+        # an unreadable --points file fails run_sweep's read, before any solve
+        report = run_sweep(spec)
     _emit_json(report.document, target)
     return 0 if report.all_converged else 1
 

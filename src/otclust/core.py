@@ -19,7 +19,6 @@ DEFAULT_TOLERANCE = 1e-9
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
-STATUS_UNBOUNDED = "unbounded"
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -174,7 +173,7 @@ class TransportPlan:
 class SolveReport:
     """Uniform solver telemetry.
 
-    status is one of "optimal", "max_iterations", "unbounded". `note`
+    status is "optimal", or "max_iterations" for `son` alone. `note`
     carries warnings such as non-unique openings. duality_gap is objective
     minus a lower bound on the optimum, so the true optimum lies in
     [objective - duality_gap, objective]; `linf` leaves it None. The bound

@@ -12,7 +12,7 @@ switches to Bland's rule until a nondegenerate step occurs, which guarantees
 termination.
 
 There is no phase 1: a solve starts from the caller's basis, which must be
-primal feasible.
+primal feasible. A solve returns an optimum or raises.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, STATUS_UNBOUNDED
 
 _DEGENERATE_STEP = 1e-12
 _PIVOT_TOLERANCE = 1e-9
@@ -106,14 +104,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A solve's result; basis names one column per row, and dual holds the
-    row prices of an optimal basis and is None for any other status."""
+    """An optimal solve's result; basis names one column per row, and dual
+    holds its row prices."""
 
     primal: np.ndarray
     objective_value: float
     basis: np.ndarray
-    status: str
-    dual: np.ndarray | None = None
+    dual: np.ndarray
     pivots: int = 0
 
 
@@ -181,8 +178,9 @@ class _SimplexState:
             self.refactor()
 
 
-def _run_simplex(state: _SimplexState, budget: int) -> str:
-    """Iterate to optimality for the program's costs, within budget pivots."""
+def _run_simplex(state: _SimplexState, budget: int) -> None:
+    """Iterate to optimality for the program's costs; RuntimeError when the
+    budget of pivots runs out or the program is unbounded."""
     cost = state.lp.objective
     # reduced costs carry rounding in proportion to the costs themselves
     tolerance = _PIVOT_TOLERANCE * max(1.0, float(np.abs(cost).max()))
@@ -191,23 +189,23 @@ def _run_simplex(state: _SimplexState, budget: int) -> str:
     use_bland = False
     while True:
         if state.pivots >= budget:
-            return STATUS_MAX_ITERATIONS
+            raise RuntimeError(f"simplex pivot budget of {budget} ran out")
         y = cost[state.basis] @ state.binv
         reduced = cost - state.lp.transpose_dot(y)
         reduced[state.basis] = np.inf
         if use_bland:
             candidates = np.flatnonzero(reduced < -tolerance)
             if candidates.size == 0:
-                return STATUS_OPTIMAL
+                return
             entering = int(candidates[0])
         else:
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -tolerance:
-                return STATUS_OPTIMAL
+                return
         d = state.binv @ state.lp.column(entering)
         blocking = np.flatnonzero(d > _RATIO_TOLERANCE)
         if blocking.size == 0:
-            return STATUS_UNBOUNDED
+            raise RuntimeError("simplex found the program unbounded")
         ratios = np.maximum(state.xb[blocking], 0.0) / d[blocking]
         ties = blocking[ratios <= ratios.min() * (1.0 + 1e-12) + 1e-15]
         leave_pos = int(ties[np.argmin(state.basis[ties])])
@@ -227,7 +225,8 @@ def solve_lp(lp: LinearProgram, initial_basis) -> LpSolution:
 
     The start is initial_basis, column ids, one per row. ValueError is
     raised when the start is singular or not primal feasible. Resolving
-    from an optimal basis therefore costs zero pivots.
+    from an optimal basis therefore costs zero pivots. RuntimeError is
+    raised when the pivot budget runs out or the program is unbounded.
     """
     m, n = lp.constraint_count, lp.variable_count
     basis = np.array(list(initial_basis), dtype=np.int64)
@@ -240,12 +239,11 @@ def solve_lp(lp: LinearProgram, initial_basis) -> LpSolution:
     # basic values carry rounding in proportion to the right-hand side
     if state.xb.min(initial=0.0) < -_RATIO_TOLERANCE * lp.rhs.max(initial=1.0):
         raise ValueError("initial basis is not primal feasible")
-    status = _run_simplex(state, _PIVOT_BUDGET_FACTOR * (n + m))
+    _run_simplex(state, _PIVOT_BUDGET_FACTOR * (n + m))
     # a pivot since the last refactor leaves rank-1 rounding in binv and xb
     if state.pivots % _REFACTOR_EVERY:
         state.refactor()
     x = np.zeros(n)
     x[state.basis] = state.xb
-    dual = lp.objective[state.basis] @ state.binv if status == STATUS_OPTIMAL else None
-    objective = -np.inf if status == STATUS_UNBOUNDED else float(lp.objective @ x)
-    return LpSolution(x, objective, state.basis.copy(), status, dual, state.pivots)
+    dual = lp.objective[state.basis] @ state.binv
+    return LpSolution(x, float(lp.objective @ x), state.basis.copy(), dual, state.pivots)

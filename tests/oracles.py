@@ -110,7 +110,8 @@ def _dense_program(objective, A, rhs):
 
 
 def two_phase(program):
-    """Textbook two-phase simplex over public `solve_lp` calls.
+    """Textbook two-phase simplex over public `solve_lp` calls; returns
+    (status, solution), the solution None unless status is "optimal".
 
     Phase 1 gives each row without a positive singleton column an
     artificial unit column (ids from variable_count on) and minimizes their
@@ -119,7 +120,9 @@ def two_phase(program):
     the first structural column with a nonzero entry in its row of B^-1 A;
     a row with no such column is a combination of the others, so it is
     dropped, keeps its artificial id in the basis and gets dual 0. Phase 2
-    solves the kept rows from the remaining structural basis.
+    solves the kept rows from the remaining structural basis; the
+    program is "unbounded" when that solve raises the simplex's unbounded
+    error.
     """
     m, n = program.constraint_count, program.variable_count
     A = np.zeros((m, n))
@@ -130,15 +133,13 @@ def two_phase(program):
     start = np.argmax(singles, axis=1)
     start[uncovered] = n + np.arange(k)
     if k == 0:
-        return solve_lp(_dense_program(program.objective, A, program.rhs), start)
+        return _phase_two(_dense_program(program.objective, A, program.rhs), start)
     full = np.hstack([A, np.zeros((m, k))])
     full[uncovered, n + np.arange(k)] = 1.0
     first = solve_lp(_dense_program(np.repeat([0.0, 1.0], [n, k]), full, program.rhs), start)
     basis, pivots = first.basis.copy(), first.pivots
-    if first.status != STATUS_OPTIMAL:
-        return LpSolution(first.primal[:n], np.nan, basis, first.status, None, pivots)
     if first.objective_value > PHASE1_TOL:
-        return LpSolution(first.primal[:n], np.nan, basis, "infeasible", None, pivots)
+        return "infeasible", None
     dropped = []
     binv = np.linalg.inv(full[:, basis])
     for position in np.flatnonzero(basis >= n):
@@ -154,19 +155,29 @@ def two_phase(program):
             dropped.append(position)
     kept = np.ones(m, dtype=bool)
     kept[uncovered[basis[dropped] - n]] = False
-    second = solve_lp(
+    status, second = _phase_two(
         _dense_program(program.objective, A[kept], program.rhs[kept]),
-        initial_basis=np.delete(basis, dropped),
+        np.delete(basis, dropped),
     )
+    if second is None:
+        return status, None
     basis[np.setdiff1d(np.arange(m), dropped)] = second.basis
-    dual = None
-    if second.dual is not None:
-        dual = np.zeros(m)
-        dual[kept] = second.dual
-    return LpSolution(
-        second.primal, second.objective_value, basis, second.status, dual,
-        pivots + second.pivots,
+    dual = np.zeros(m)
+    dual[kept] = second.dual
+    return status, LpSolution(
+        second.primal, second.objective_value, basis, dual, pivots + second.pivots
     )
+
+
+def _phase_two(program, basis):
+    """(status, solution) of solve_lp from a feasible basis; an unbounded
+    program is a status, any other error propagates."""
+    try:
+        return STATUS_OPTIMAL, solve_lp(program, basis)
+    except RuntimeError as exc:
+        if "unbounded" not in str(exc):
+            raise
+        return "unbounded", None
 
 
 def facility_lp(cost, weights, penalty):
@@ -235,10 +246,7 @@ def inner_cost(cost, p0, index, t):
             j += 1
         else:
             side = 1
-    solution = solve_lp(program, initial_basis=basis)
-    if solution.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"pinned-column LP ended with {solution.status}")
-    return float(solution.objective_value)
+    return float(solve_lp(program, initial_basis=basis).objective_value)
 
 
 def northwest_corner(p0, p1):
@@ -370,9 +378,7 @@ def support_envelope(plan, weights):
     ]
     rows.append([(share[k], 1.0) for k in range(len(subsets))])
     rhs = np.concatenate([X.reshape(-1), np.zeros(len(subsets) * n), [1.0]])
-    solution = two_phase(program_from_rows(objective, rows, rhs))
-    if solution.status != STATUS_OPTIMAL:
-        raise RuntimeError(f"subset LP ended with {solution.status}")
+    _, solution = two_phase(program_from_rows(objective, rows, rhs))
     return solution.objective_value
 
 

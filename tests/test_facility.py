@@ -47,8 +47,8 @@ def six_point_cloud():
 
 def explicit_optimum(cost, p0, penalty):
     """Optimal value of the relaxation with every coupling row written out."""
-    solution = two_phase(facility_lp(cost.entries, p0.weights, penalty))
-    assert solution.status == "optimal"
+    status, solution = two_phase(facility_lp(cost.entries, p0.weights, penalty))
+    assert status == "optimal"
     return solution.objective_value
 
 
@@ -143,8 +143,8 @@ class TestSolveFacility:
         cost, p0 = six_point_cloud()
         best_site = float((p0.weights @ cost.entries).min())
         for penalty in (25.0, 1e3, 1e5, 1e7):
-            solution = two_phase(facility_lp(cost.entries, p0.weights, penalty))
-            assert solution.status == "optimal"
+            status, solution = two_phase(facility_lp(cost.entries, p0.weights, penalty))
+            assert status == "optimal"
             assert solution.pivots < 200
         assert solution.objective_value == pytest.approx(1e7 + best_site, rel=1e-12)
 

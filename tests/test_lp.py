@@ -55,7 +55,6 @@ class TestStandardForm:
         # max x subject to x + s = 1
         lp = program_from_rows([-1.0, 0.0], ([(0, 1.0), (1, 1.0)],), [1.0])
         sol = solve_lp(lp, initial_basis=[1])
-        assert sol.status == "optimal"
         assert sol.primal[0] == pytest.approx(1.0)
 
     def test_equality_pair(self):
@@ -70,7 +69,7 @@ class TestStandardForm:
             [0.0, 0.0, 0.0], ([(0, 1.0), (1, -1.0)], [(0, 1.0), (2, 1.0)]),
             [2.0, 1.0],
         )
-        assert two_phase(lp).status == "infeasible"
+        assert two_phase(lp) == ("infeasible", None)
 
 
 class TestProgramValidation:
@@ -128,8 +127,8 @@ class TestSolveAgainstEnumeration:
             statuses[want_status] += 1
             redundant, A_full, b_full = with_dependent_row(c, A, b, total=trial % 2)
             for program, rows, rhs in ((lp, A, b), (redundant, A_full, b_full)):
-                sol = two_phase(program)
-                assert sol.status == want_status, f"trial {trial}"
+                status, sol = two_phase(program)
+                assert status == want_status, f"trial {trial}"
                 if want_status == "optimal":
                     assert sol.objective_value == pytest.approx(
                         want_val, rel=1e-8, abs=1e-8
@@ -148,8 +147,8 @@ class TestSolveAgainstEnumeration:
             lp, c, A, b = random_program(rng, 5, 2)
             lp = program_from_rows(c, [list(zip(range(5), A[r])) for r in range(2)], np.zeros(2))
             want_status, _, want_val = enumerate_lp(c, A, np.zeros(2))
-            sol = two_phase(lp)
-            assert sol.status == want_status
+            status, sol = two_phase(lp)
+            assert status == want_status
             if want_status == "optimal":
                 assert sol.objective_value == pytest.approx(want_val, abs=1e-9)
 
@@ -169,7 +168,6 @@ class TestAntiCycling:
         )
         program = program_from_rows(objective, rows, [0.0, 0.0, 1.0])
         sol = solve_lp(program, initial_basis=[0, 1, 2])
-        assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-12)
         assert sol.primal == pytest.approx([0.03, 0.0, 0.0, 0.04, 0.0, 1.0, 0.0], abs=1e-12)
         assert sol.pivots == 12
@@ -180,8 +178,8 @@ class TestSolutionCertificates:
         rng = np.random.default_rng(99)
         for _ in range(40):
             lp, c, A, b = random_program(rng, 6, 3)
-            sol = two_phase(lp)
-            if sol.status != "optimal":
+            status, sol = two_phase(lp)
+            if status != "optimal":
                 continue
             above = int((sol.primal > 1e-9).sum())
             assert above <= lp.constraint_count
@@ -196,8 +194,8 @@ class TestSolutionCertificates:
         resolved = 0
         for _ in range(20):
             lp, *_ = random_program(rng, 6, 3)
-            sol = two_phase(lp)
-            if sol.status != "optimal":
+            status, sol = two_phase(lp)
+            if status != "optimal":
                 continue
             again = solve_lp(lp, initial_basis=sol.basis)
             assert again.pivots == 0
@@ -210,8 +208,8 @@ class TestSolutionCertificates:
         monkeypatch.setattr(otclust.lp, "_PIVOT_BUDGET_FACTOR", 0)
         rng = np.random.default_rng(3)
         _, c, A, b = random_program(rng, 6, 3)
-        sol = solve_lp(with_slacks(c, A, b), initial_basis=6 + np.arange(3))
-        assert sol.status == "max_iterations"
+        with pytest.raises(RuntimeError, match="budget"):
+            solve_lp(with_slacks(c, A, b), initial_basis=6 + np.arange(3))
 
 
 class TestRedundantRows:
@@ -219,8 +217,8 @@ class TestRedundantRows:
         # x + y = 1 stated twice; the copy keeps its artificial at zero
         rows = ([(0, 1.0), (1, 1.0)], [(0, 1.0), (1, 1.0)])
         lp = program_from_rows([1.0, 2.0], rows, [1.0, 1.0])
-        sol = two_phase(lp)
-        assert sol.status == "optimal"
+        status, sol = two_phase(lp)
+        assert status == "optimal"
         assert sol.primal == pytest.approx([1.0, 0.0])
         assert sol.objective_value == pytest.approx(1.0)
 
@@ -237,8 +235,8 @@ class TestRedundantRows:
         c = np.array([1.0, 2.0, 0.5])
         A, b = np.array(A), np.array(b)
         rows = [[(j, v) for j, v in enumerate(row) if v] for row in A]
-        sol = two_phase(program_from_rows(c, rows, b))
-        assert sol.status == "optimal"
+        status, sol = two_phase(program_from_rows(c, rows, b))
+        assert status == "optimal"
         assert_optimal_dual(sol, c, A, b)
 
 
@@ -287,7 +285,7 @@ class TestStartBasis:
         with pytest.raises(ValueError, match="not primal feasible"):
             solve_lp(lp, initial_basis=[0, 2])
         # from the slacks {s, t}: s = 2 and t = 1
-        assert solve_lp(lp, initial_basis=[1, 2]).status == "optimal"
+        assert solve_lp(lp, initial_basis=[1, 2]).objective_value == pytest.approx(0.0)
 
 
 def assert_inverts(state):

@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 
 import otclust.cli
+import otclust.lp
 import otclust.sweep
 from otclust.cli import main
-from otclust.core import CostMatrix, PointCloud, ProbabilityVector, build_cost_matrix
+from otclust.core import (
+    STATUS_MAX_ITERATIONS,
+    STATUS_OPTIMAL,
+    CostMatrix,
+    PointCloud,
+    ProbabilityVector,
+    build_cost_matrix,
+)
 from otclust.pointio import read_points, write_points
 from otclust.sweep import ExperimentSpec, format_report_json, run_sweep, solve_one
 
@@ -154,6 +162,29 @@ class TestRunSweep:
             run_sweep(spec)
 
 
+def test_schema_statuses_are_the_reported_ones():
+    # a simplex solve returns an optimum or raises, so a report entry is
+    # optimal, son's max_iterations, or a recorded error
+    entry = load_schema()["properties"]["results"]["items"]["properties"]
+    assert set(entry["status"]["enum"]) == {STATUS_OPTIMAL, STATUS_MAX_ITERATIONS, "error"}
+
+
+def test_exhausted_simplex_budget_is_an_error_entry(tmp_path, monkeypatch):
+    # with no pivots allowed every lp cut master raises; each grid point is
+    # recorded as an error and the sweep exits 1
+    monkeypatch.setattr(otclust.lp, "_PIVOT_BUDGET_FACTOR", 0)
+    code = main([
+        "sweep", "--config", "four-cluster", "--method", "lp",
+        "--lambdas", "1,50,1e6", "--out", str(tmp_path),
+    ])
+    assert code == 1
+    document = json.loads((tmp_path / "sweep-lp-four-cluster.json").read_text())
+    jsonschema.validate(document, load_schema())
+    for entry in document["results"]:
+        assert entry["status"] == "error"
+        assert entry["error"].startswith("RuntimeError: simplex pivot budget"), entry
+
+
 
 @pytest.mark.parametrize("method", ["son", "lp", "linf"])
 @pytest.mark.parametrize("penalty", [np.nan, np.inf, -1.0])
@@ -276,6 +307,20 @@ class TestCli:
         )
         assert code == 1
         assert json.loads(out.read_text())["status"] == "max_iterations"
+
+    def test_sweep_reads_points_once(self, tmp_path, monkeypatch):
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_points(path)
+
+        monkeypatch.setattr(otclust.cli, "read_points", counting)
+        monkeypatch.setattr(otclust.sweep, "read_points", counting)
+        csv_path = str(planted_csv(tmp_path))
+        argv = ["sweep", "--points", csv_path, "--method", "exact-omt", "--lambdas", "0"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert reads == [csv_path]
 
     def test_sweep_grid_flag_validation(self, tmp_path, monkeypatch):
         solves = []

@@ -204,8 +204,8 @@ def _with_zeros(rng, size, zeros):
 
 
 def _cold_objective(cost, p0, p1):
-    sol = two_phase(transport_program(cost, p0, p1))
-    assert sol.status == "optimal"
+    status, sol = two_phase(transport_program(cost, p0, p1))
+    assert status == "optimal"
     return sol.objective_value
 
 
