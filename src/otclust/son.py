@@ -61,15 +61,12 @@ from .core import (
 
 @dataclass(frozen=True)
 class SonResult:
-    """plan is the row-feasible iterate; auxiliary the shrunken consensus
-    copy, whose exact zero columns indicate the support the penalty chose.
-    residual_history holds the (primal, dual) residuals of every iteration,
-    which also tell where residual balancing changed rho; its last row is
-    where the solve stopped. A certified solve runs no iteration: its
-    auxiliary is the plan and its history is empty."""
+    """plan is the row-feasible iterate. residual_history holds the
+    (primal, dual) residuals of every iteration, which also tell where
+    residual balancing changed rho; its last row is where the solve
+    stopped. A certified solve runs no iteration: its history is empty."""
 
     plan: TransportPlan
-    auxiliary: np.ndarray
     report: SolveReport
     residual_history: np.ndarray
 
@@ -110,25 +107,20 @@ def _project_rows(V, radii, out=None, scratch=None):
 
 
 def group_shrink(values, threshold: float, out=None) -> np.ndarray:
-    """Column-wise soft threshold of the Euclidean norm of a 2-d array.
+    """Column-wise soft threshold of the Euclidean norm of a 2-d float array.
 
-    Each column v becomes max(0, 1 - threshold / ||v||_2) * v. out, if
-    given, receives the result and must not overlap values.
+    Each column v becomes max(0, 1 - threshold / ||v||_2) * v, threshold >= 0.
+    out, if given, receives the result and must not overlap values.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    V = np.asarray(values, dtype=float)
-    if V.ndim != 2:
-        raise ValueError("expected a 2-d array")
     if out is None:
-        out = np.empty_like(V)
-    # the column norms exactly as np.linalg.norm(V, axis=0) computes them,
-    # with out holding the squares
-    np.multiply(V, V, out=out)
+        out = np.empty_like(values)
+    # the column norms exactly as np.linalg.norm(values, axis=0) computes
+    # them, with out holding the squares
+    np.multiply(values, values, out=out)
     norms = np.sqrt(np.add.reduce(out, axis=0))
     ratio = np.zeros_like(norms)
     np.divide(threshold, norms, out=ratio, where=norms > 0)
-    np.multiply(V, np.maximum(0.0, 1.0 - ratio)[None, :], out=out)
+    np.multiply(values, np.maximum(0.0, 1.0 - ratio)[None, :], out=out)
     return out
 
 
@@ -157,7 +149,7 @@ def _initial_rho(kappa: float, p0_norm: float) -> float:
     """Step weight start point: tracks the penalty scale, floored at
     _RHO_FLOOR, so that huge penalties stay solvable; residual balancing
     does the fine adjustment from there."""
-    return max(_RHO_FLOOR, kappa / (_PENALTY_RHO_DIVISOR * max(p0_norm, 1e-12)))
+    return max(_RHO_FLOOR, kappa / (_PENALTY_RHO_DIVISOR * p0_norm))
 
 
 def _positive_norms(slack) -> np.ndarray:
@@ -232,11 +224,10 @@ def solve_son(
     if certified:
         plan = np.zeros_like(C)
         plan[:, medoid] = weights
-        consensus, iterations, converged = plan.copy(), 0, True
-        history = np.empty((0, 2))
+        iterations, converged, history = 0, True, np.empty((0, 2))
     else:
-        plan, consensus, iterations, converged, history = _admm(
-            cost, p0, penalty, max_iterations
+        plan, iterations, converged, history = _admm(
+            C, weights, kappa, _initial_rho(kappa, p0_norm), max_iterations
         )
     feasible = TransportPlan(plan, p0)
     X = feasible.entries
@@ -256,23 +247,19 @@ def solve_son(
         status=STATUS_OPTIMAL if converged else STATUS_MAX_ITERATIONS,
         duality_gap=gap,
     )
-    return SonResult(
-        plan=feasible, auxiliary=consensus, report=report, residual_history=history
-    )
+    return SonResult(plan=feasible, report=report, residual_history=history)
 
 
-def _admm(cost, p0, penalty, max_iterations):
-    """The ADMM loop from the diagonal plan: (plan, consensus, iterations,
-    converged, residual history)."""
-    n = cost.shape[0]
-    p0_norm = p0.norm2()
-    kappa = penalty / p0_norm
-    rho = _initial_rho(kappa, p0_norm)
+def _admm(C, weights, kappa, rho, max_iterations):
+    """The ADMM loop on cost entries C and row sums weights, from the
+    diagonal plan and step weight rho: (plan, iterations, converged,
+    residual history)."""
+    n = C.shape[0]
     # Every iterate lives in a buffer allocated here, once per solve; each
     # step writes the same floating-point operations, in the same order, as
     # the textbook update noted beside it.
-    scaled_cost = cost.entries / rho
-    plan = np.diag(p0.weights).astype(float)
+    scaled_cost = C / rho
+    plan = np.diag(weights)
     consensus = plan.copy()
     previous = np.empty_like(plan)
     dual = np.zeros_like(plan)
@@ -287,7 +274,7 @@ def _admm(cost, p0, penalty, max_iterations):
         # plan = project(consensus - dual - cost / rho)
         np.subtract(consensus, dual, out=work)
         work -= scaled_cost
-        _project_rows(work, p0.weights, out=plan, scratch=scratch)
+        _project_rows(work, weights, out=plan, scratch=scratch)
         # consensus = shrink(plan + dual), keeping the old one as previous
         previous, consensus = consensus, previous
         np.add(plan, dual, out=work)
@@ -314,11 +301,11 @@ def _admm(cost, p0, penalty, max_iterations):
                 rho *= _BALANCING_FACTOR
                 dual /= _BALANCING_FACTOR
                 balancing_steps += 1
-                np.divide(cost.entries, rho, out=scaled_cost)
+                np.divide(C, rho, out=scaled_cost)
             elif dual_res > _BALANCING_RATIO * primal_res:
                 rho /= _BALANCING_FACTOR
                 dual *= _BALANCING_FACTOR
                 balancing_steps += 1
-                np.divide(cost.entries, rho, out=scaled_cost)
+                np.divide(C, rho, out=scaled_cost)
 
-    return plan, consensus, iterations, converged, np.asarray(history)
+    return plan, iterations, converged, np.asarray(history)

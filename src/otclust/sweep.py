@@ -1,10 +1,10 @@
 """Penalty sweeps: one dataset, one method, a grid of penalty values.
 
-Each grid point solves independently, so sweeps parallelize across a
-thread pool (the heavy lifting is numpy). Results are serialized with
-sorted keys and 12-significant-digit floats; reruns of the same spec
-produce byte-identical files. Wall-clock timings go to the log only,
-never into the report, for exactly that reason.
+Each grid point solves independently; with jobs > 1 they run on a thread
+pool, which pays only for long (256-point) solves. Results are serialized
+with sorted keys and 12-significant-digit floats; reruns of the same spec
+produce byte-identical files. Wall-clock timings go to the log only, never
+into the report, for exactly that reason.
 """
 
 from __future__ import annotations

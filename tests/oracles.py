@@ -15,7 +15,8 @@ a fresh array per operation, the bit-for-bit reference for the solver's
 in-place loop; `reference_row_assignment` is the clustering rule one row at
 a time. `medoid_dual_excess` checks the single-site dual of `son` one column
 at a time, and `dual_shift_bisection` finds its feasibility shift by
-bisection.
+bisection. `exact_support` solves the sparse-support problem itself, with
+0/1 openings, by scipy's branch and bound.
 """
 
 import itertools
@@ -209,6 +210,39 @@ def facility_lp(cost, weights, penalty):
     objective[: n * n] = C.reshape(-1)
     objective[n * n : n * n + n] = penalty
     return program_from_rows(objective, rows, rhs)
+
+
+def exact_support(cost, p0, penalty):
+    """The sparse-support problem itself, with 0/1 openings: min
+    sum cost_ij x_ij + penalty sum y_j subject to sum_j x_ij = w_i,
+    x_ij <= w_i y_j, y_j in {0, 1}, solved by scipy's `milp` (HiGHS branch
+    and bound, run to a zero gap). Returns (value, open sites). The value
+    is recomputed from the open sites, each row sent whole to its cheapest
+    open site, so it does not carry the solver's feasibility tolerance.
+    Needs scipy, which the package itself does not."""
+    from scipy import optimize, sparse
+
+    C = cost.entries
+    w = p0.weights
+    n = w.size
+    # variables: the plan row-major (x_ij at i * n + j), then the openings
+    eye = sparse.identity(n)
+    row_sums = sparse.hstack([sparse.kron(eye, np.ones((1, n))), sparse.csr_matrix((n, n))])
+    coupling = sparse.hstack([sparse.identity(n * n), sparse.kron(-w[:, None], eye)])
+    result = optimize.milp(
+        np.concatenate([C.reshape(-1), np.full(n, float(penalty))]),
+        constraints=[
+            optimize.LinearConstraint(row_sums, w, w),
+            optimize.LinearConstraint(coupling, -np.inf, 0.0),
+        ],
+        integrality=np.concatenate([np.zeros(n * n), np.ones(n)]),
+        bounds=optimize.Bounds(0.0, np.concatenate([np.full(n * n, np.inf), np.ones(n)])),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert result.success, result.message
+    sites = np.flatnonzero(result.x[n * n :] > 0.5)
+    value = float(w @ C[:, sites].min(axis=1)) + float(penalty) * sites.size
+    return value, sites.tolist()
 
 
 def inner_cost(cost, p0, index, t):
@@ -429,8 +463,8 @@ def son_reference(cost, p0, penalty, max_iterations=MAX_ITERATIONS):
     """The `son` ADMM loop with a fresh array for every intermediate.
 
     Same operations in the same order as `otclust.son._admm`, so both must
-    return the bit-identical (plan, consensus, iterations, converged,
-    residual history).
+    return the bit-identical (plan, iterations, converged, residual
+    history).
     """
     n = cost.shape[0]
     p0_norm = p0.norm2()
@@ -472,7 +506,7 @@ def son_reference(cost, p0, penalty, max_iterations=MAX_ITERATIONS):
                 dual *= _BALANCING_FACTOR
                 balancing_steps += 1
 
-    return plan, consensus, iterations, converged, np.asarray(history)
+    return plan, iterations, converged, np.asarray(history)
 
 
 def medoid_dual_excess(cost, weights, penalty):

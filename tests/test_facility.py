@@ -9,7 +9,13 @@ from otclust.core import PointCloud, ProbabilityVector, build_cost_matrix, trans
 from otclust.datagen import four_cluster_config, sample_gaussian_mixture, ten_cluster_config
 from otclust.facility import FacilityResult, solve_facility_relaxation
 
-from oracles import UNIT_TEST_PENALTIES, facility_lp, two_phase, unit_scaled_solves
+from oracles import (
+    UNIT_TEST_PENALTIES,
+    exact_support,
+    facility_lp,
+    two_phase,
+    unit_scaled_solves,
+)
 
 
 def random_instance(seed, n, scale=3.0, uniform=True):
@@ -259,6 +265,42 @@ class TestAgainstHighs:
             assert want.status == 0
             got = solve_facility_relaxation(cost, p0, penalty).report.objective
             assert got == pytest.approx(want.fun, rel=1e-9, abs=1e-9)
+
+
+class TestAgainstExactSupport:
+    """`lp` is the LP relaxation of the sparse-support problem with 0/1
+    openings, which `exact_support` solves by branch and bound. Where the
+    openings come out integral the relaxation is exact; where they do not,
+    its bound lies strictly below the integer optimum."""
+
+    @pytest.mark.parametrize(
+        "make_config, low, index, fractional, values",
+        [
+            # criterion-6 grid points 5 and 15, penalties ~3.708 and ~50.98
+            (four_cluster_config, 1.0, 5, 0, None),
+            (four_cluster_config, 1.0, 15, 0, None),
+            # criterion-8 grid points 13 and 16, penalties ~5.78 and ~17.30:
+            # (lp bound, exact optimum)
+            (ten_cluster_config, 0.05, 13, 3, (37.2494, 37.2689)),
+            (ten_cluster_config, 0.05, 16, 6, (71.2983, 71.3387)),
+        ],
+    )
+    def test_lp_bounds_the_exact_optimum(self, make_config, low, index, fractional, values):
+        pytest.importorskip("scipy.optimize")
+        penalty = float(np.geomspace(low, 2000.0, 30)[index])
+        cost = build_cost_matrix(sample_gaussian_mixture(make_config()))
+        p0 = ProbabilityVector.uniform(cost.shape[0])
+        exact, sites = exact_support(cost, p0, penalty)
+        res = solve_facility_relaxation(cost, p0, penalty)
+        got = res.report.objective
+        openings = res.openings
+        integral = np.minimum(openings, 1.0 - openings) <= 1e-9
+        assert int((~integral).sum()) == fractional
+        if fractional:
+            assert (got, exact) == pytest.approx(values, abs=1e-4)
+        else:
+            assert abs(got - exact) <= 1e-9 * exact
+            assert np.flatnonzero(openings > 0.5).tolist() == sites
 
 
 @pytest.mark.parametrize("name", sorted(UNIT_TEST_PENALTIES))

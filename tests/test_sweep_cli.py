@@ -296,6 +296,24 @@ class TestCli:
         assert len(stored["assignment"]) == 6
         assert fig.read_text().startswith("<svg")
 
+    def test_one_point_csv_end_to_end(self, tmp_path):
+        # a single labelled point is one cluster under every method
+        csv_path = tmp_path / "one.csv"
+        write_points(PointCloud(np.array([[1.5, -2.0]]), labels=np.array([0])), csv_path)
+        for method in ("son", "lp", "linf", "exact-omt"):
+            argv = ["sweep", "--points", str(csv_path), "--method", method, "--lambdas", "0.5"]
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / f"sweep-{method}-one.json").read_text())
+            (entry,) = report["results"]
+            assert (entry["status"], entry["cluster_count"], entry["ari"]) == ("optimal", 1, 1.0)
+        for method in ("son", "lp", "linf"):
+            out = tmp_path / f"cluster-{method}.json"
+            argv = ["cluster", "--points", str(csv_path), "--method", method, "--lambda", "0.5"]
+            assert main(argv + ["--out", str(out)]) == 0
+            entry = json.loads(out.read_text())
+            assert (entry["status"], entry["cluster_count"], entry["ari"]) == ("optimal", 1, 1.0)
+            assert entry["assignment"] == [0]
+
     def test_cluster_exit_code_tracks_convergence(self, tmp_path):
         csv_path = planted_csv(tmp_path)
         out = tmp_path / "result.json"
