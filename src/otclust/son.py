@@ -71,39 +71,44 @@ class SonResult:
     residual_history: np.ndarray
 
 
-def _project_rows(V, radii, out=None, scratch=None):
+def _project_rows(V, radii, out=None, scratch=None, layout=None):
     """Euclidean projection of each row of V onto {z >= 0, sum z = radius}.
 
-    Sort-and-threshold: with a row's entries sorted descending, find the
-    largest k whose running mean leaves the k-th entry positive after
-    shifting, then subtract that shift and clamp at zero. Rows with radius
-    0 become 0.
+    Sort-and-threshold: with a row's entries sorted, find the largest k
+    whose running mean over the k largest entries leaves the k-th largest
+    positive after shifting, then subtract that shift and clamp at zero.
+    Rows with radius 0 become 0.
 
     out receives the projection. scratch is a (float, bool) pair of arrays
-    shaped like V for the running sums and the threshold test. Both are
-    allocated when not given, so a caller that projects repeatedly passes
-    them and allocates no n x m array per call. Neither may overlap V.
+    shaped like V for the running sums and the threshold test, and layout
+    is `_projection_layout(radii, m)`. All are built when not given, so a
+    caller that projects repeatedly passes them and allocates no n x m
+    array per call. Neither array may overlap V.
     """
-    n, m = V.shape
     if out is None:
         out = np.empty_like(V)
     sums, positive = scratch or (np.empty_like(V), np.empty(V.shape, dtype=bool))
-    # rows sorted descending, in out
-    np.negative(V, out=out)
+    rows, counts, zero_rows = layout or _projection_layout(radii, V.shape[1])
+    np.copyto(out, V)
     out.sort(axis=1)
-    np.negative(out, out=out)
-    np.cumsum(out, axis=1, out=sums)
-    # sums becomes the shift (css_k - r) / k of every candidate k
+    # sums[:, j] becomes the shift (css_k - r) / k of the candidate k = m - j,
+    # summing the k largest entries out[:, j:] from the largest down
+    np.cumsum(out[:, ::-1], axis=1, out=sums[:, ::-1])
     sums -= radii[:, None]
-    sums /= np.arange(1, m + 1)
-    np.subtract(out, sums, out=out)
-    np.greater(out, 0, out=positive)
-    kstar = m - 1 - np.argmax(positive[:, ::-1], axis=1)
-    theta = sums[np.arange(n), kstar]
+    sums /= counts
+    # out > sums is out - sums > 0 for finite floats; the first such j is
+    # the largest k
+    np.greater(out, sums, out=positive)
+    theta = sums[rows, np.argmax(positive, axis=1)]
     np.subtract(V, theta[:, None], out=out)
     np.maximum(out, 0.0, out=out)
-    out[radii <= 0] = 0.0
+    out[zero_rows] = 0.0
     return out
+
+
+def _projection_layout(radii, m):
+    """`_project_rows`' row indices, float candidate counts m..1 and zero-radius rows."""
+    return np.arange(radii.size), np.arange(m, 0, -1, dtype=float), np.flatnonzero(radii <= 0)
 
 
 def group_shrink(values, threshold: float, out=None) -> np.ndarray:
@@ -250,6 +255,12 @@ def solve_son(
     return SonResult(plan=feasible, report=report, residual_history=history)
 
 
+def _norm(x) -> float:
+    """np.linalg.norm(x) of a float array, by the same operations."""
+    flat = x.ravel(order="K")
+    return float(np.sqrt(flat.dot(flat)))
+
+
 def _admm(C, weights, kappa, rho, max_iterations):
     """The ADMM loop on cost entries C and row sums weights, from the
     diagonal plan and step weight rho: (plan, iterations, converged,
@@ -265,6 +276,7 @@ def _admm(C, weights, kappa, rho, max_iterations):
     dual = np.zeros_like(plan)
     work = np.empty_like(plan)
     scratch = (np.empty_like(plan), np.empty(plan.shape, dtype=bool))
+    layout = _projection_layout(weights, n)
 
     history = []
     balancing_steps = 0
@@ -274,25 +286,21 @@ def _admm(C, weights, kappa, rho, max_iterations):
         # plan = project(consensus - dual - cost / rho)
         np.subtract(consensus, dual, out=work)
         work -= scaled_cost
-        _project_rows(work, weights, out=plan, scratch=scratch)
-        # consensus = shrink(plan + dual), keeping the old one as previous
+        _project_rows(work, weights, out=plan, scratch=scratch, layout=layout)
+        # consensus = shrink(dual + plan) and dual = dual + plan - consensus,
+        # keeping the old consensus as previous
         previous, consensus = consensus, previous
-        np.add(plan, dual, out=work)
-        group_shrink(work, kappa / rho, out=consensus)
-        # dual = dual + plan - consensus
         dual += plan
+        group_shrink(dual, kappa / rho, out=consensus)
         dual -= consensus
 
         np.subtract(plan, consensus, out=work)
-        primal_res = float(np.linalg.norm(work))
+        primal_res = _norm(work)
         np.subtract(consensus, previous, out=work)
-        dual_res = float(rho * np.linalg.norm(work))
+        dual_res = rho * _norm(work)
         history.append((primal_res, dual_res))
-        eps_pri = _EPS_ABS * n + _EPS_REL * max(
-            float(np.linalg.norm(plan)), float(np.linalg.norm(consensus))
-        )
-        eps_dual = _EPS_ABS * n + _EPS_REL * rho * float(np.linalg.norm(dual))
-        if primal_res <= eps_pri and dual_res <= eps_dual:
+        eps_pri = _EPS_ABS * n + _EPS_REL * max(_norm(plan), _norm(consensus))
+        if primal_res <= eps_pri and dual_res <= _EPS_ABS * n + _EPS_REL * rho * _norm(dual):
             converged = True
             break
 
