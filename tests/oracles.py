@@ -40,6 +40,7 @@ from otclust.son import (
     _EPS_ABS,
     _EPS_REL,
     _MAX_BALANCING_STEPS,
+    _OVER_RELAXATION,
     MAX_ITERATIONS,
     _initial_rho,
 )
@@ -460,7 +461,8 @@ def _reference_group_shrink(V, threshold):
 
 
 def son_reference(cost, p0, penalty, max_iterations=MAX_ITERATIONS):
-    """The `son` ADMM loop with a fresh array for every intermediate.
+    """The over-relaxed `son` ADMM loop (Boyd et al., ADMM, section 3.4.3)
+    with a fresh array for every intermediate.
 
     Same operations in the same order as `otclust.son._admm`, so both must
     return the bit-identical (plan, iterations, converged, residual
@@ -481,9 +483,10 @@ def son_reference(cost, p0, penalty, max_iterations=MAX_ITERATIONS):
 
     for iterations in range(1, max_iterations + 1):
         plan = reference_project_rows(consensus - dual - C / rho, p0.weights)
+        relaxed = _OVER_RELAXATION * plan + (1.0 - _OVER_RELAXATION) * consensus
         previous = consensus
-        consensus = _reference_group_shrink(plan + dual, kappa / rho)
-        dual = dual + plan - consensus
+        consensus = _reference_group_shrink(dual + relaxed, kappa / rho)
+        dual = dual + relaxed - consensus
 
         primal_res = float(np.linalg.norm(plan - consensus))
         dual_res = float(rho * np.linalg.norm(consensus - previous))

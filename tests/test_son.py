@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otclust.clustering import extract_clusters
 from otclust.core import (
     CostMatrix,
     PointCloud,
@@ -87,6 +88,24 @@ class TestProjection:
             assert np.array_equal(_project_rows(V, radii), want)
             assert _project_rows(V, radii, out=out, scratch=scratch) is out
             assert np.array_equal(out, want)
+
+    def test_tie_heavy_rows_match_reference_bit_for_bit(self):
+        # rounded entries and radii tie often, and +-0.0 entries and zero
+        # radii decide the sign of every zero written
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n, m = (int(k) for k in rng.integers(1, 9, size=2))
+            V = rng.normal(size=(n, m)) * rng.choice([0.1, 1.0, 10.0])
+            V = V.round(int(rng.integers(0, 3)))
+            V[rng.random((n, m)) < 0.2] = 0.0
+            V[rng.random((n, m)) < 0.2] = -0.0
+            radii = rng.uniform(0.0, 2.0, size=n).round(int(rng.integers(0, 3)))
+            radii *= rng.random(n) < 0.7
+            want = reference_project_rows(V, radii).view(np.uint64)
+            scratch = (np.empty((n, m)), np.empty((n, m), dtype=bool))
+            buffered = _project_rows(V, radii, out=np.empty((n, m)), scratch=scratch)
+            for got in (_project_rows(V, radii), buffered):
+                assert np.array_equal(got.view(np.uint64), want)
 
     def test_batch_matches_rows_projected_one_at_a_time(self):
         # each row is sorted, summed and thresholded on its own
@@ -673,3 +692,40 @@ class TestDualityGap:
         cost = build_cost_matrix(PointCloud(np.arange(8.0).reshape(4, 2)))
         p0 = ProbabilityVector.uniform(4)
         assert solve_linf(cost, p0, 1.0).report.duality_gap is None
+
+
+class TestAcceptanceGrids:
+    """solve_son over the 30-point acceptance grids. Over-relaxed ADMM must
+    stay well under the iterations of the plain loop (10,209 on four-cluster,
+    17,142 on ten-cluster) with every point optimal and its gap at most
+    2.7e-3 of the objective. At ten-cluster points 7 and 13 the plain loop
+    stopped at 11 clusters; there the representatives must be those of a run
+    with _EPS_ABS 1e-10 and _EPS_REL 1e-8."""
+
+    @pytest.mark.parametrize(
+        "make_config, low, budget, pinned",
+        [
+            (four_cluster_config, 1.0, 8000, {}),
+            (
+                ten_cluster_config,
+                0.05,
+                12500,
+                {
+                    7: {4, 15, 20, 33, 46, 54, 64, 74, 83, 99},
+                    13: {4, 15, 20, 32, 47, 54, 62, 72, 87, 99},
+                },
+            ),
+        ],
+    )
+    def test_iterations_status_gap_and_representatives(self, make_config, low, budget, pinned):
+        cost = build_cost_matrix(sample_gaussian_mixture(make_config()))
+        p0 = ProbabilityVector.uniform(cost.shape[0])
+        iterations = 0
+        for index, penalty in enumerate(np.geomspace(low, 2000.0, 30)):
+            res = solve_son(cost, p0, float(penalty))
+            iterations += res.report.iterations
+            assert res.report.status == "optimal", penalty
+            assert res.report.duality_gap <= 2.7e-3 * res.report.objective, penalty
+            if index in pinned:
+                assert set(extract_clusters(res.plan).representatives) == pinned[index]
+        assert iterations <= budget
