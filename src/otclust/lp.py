@@ -1,12 +1,15 @@
 """Dense revised simplex over a column-compressed constraint matrix.
 
 Standard form is min c.x subject to A x = b, x >= 0 with b >= 0. The solver
-keeps an explicit basis inverse, updates it rank-1 per pivot, and rebuilds it
-from scratch every _REFACTOR_EVERY pivots for numerical hygiene. A rebuild
-inverts only the bump: the square block of the basis left once the columns
-with a single entry (slacks and bounds) and the rows they cover are set
-aside; those singletons enter the inverse as reciprocals (Suhl & Suhl, ORSA
-J. Comput. 1990). Pricing is Dantzig (most negative reduced cost, lowest
+keeps the explicit basis inverse of its last rebuild and each pivot since as
+a rank-1 term beside it (the product form of the inverse; Dantzig &
+Orchard-Hays, 1954), so a pivot writes two m-vectors instead of rewriting an
+m x m matrix. It rebuilds the inverse from scratch every _REFACTOR_EVERY
+pivots for numerical hygiene, which also bounds the number of terms. A
+rebuild inverts only the bump: the square block of the basis left once the
+columns with a single entry (slacks and bounds) and the rows they cover are
+set aside; those singletons enter the inverse as reciprocals (Suhl & Suhl,
+ORSA J. Comput. 1990). Pricing is Dantzig (most negative reduced cost, lowest
 index on ties); after 3 * constraint_count consecutive degenerate pivots it
 switches to Bland's rule until a nondegenerate step occurs, which guarantees
 termination.
@@ -115,7 +118,12 @@ class LpSolution:
 
 
 class _SimplexState:
-    """Basis bookkeeping over the columns of one program."""
+    """Basis bookkeeping over the columns of one program.
+
+    The inverse of the current basis is binv + P[:, :k] @ Q[:k]: binv is
+    the inverse built at the last refactor, and each of the k pivots since
+    adds one rank-1 term.
+    """
 
     def __init__(self, lp, basis):
         self.lp = lp
@@ -133,6 +141,9 @@ class _SimplexState:
         -(B[s, N] inv(M)) / v in rows U, columns R.
         """
         lp, m = self.lp, self.lp.constraint_count
+        # the rebuild folds in every term since the last one; their buffers
+        # go first, so that the rebuild's temporaries never sit beside them
+        self.P = self.Q = None
         starts = lp.colptr[self.basis]
         widths = lp.colptr[self.basis + 1] - starts
         single = widths == 1
@@ -165,16 +176,34 @@ class _SimplexState:
         self.binv[np.ix_(N, R)] = bump
         self.binv[np.ix_(U, R)] = (coupling @ bump) / -v[:, None]
         self.xb = self.binv @ lp.rhs
+        # the terms of the pivots since this rebuild: columns of P, rows of Q
+        self.P = np.empty((m, _REFACTOR_EVERY))
+        self.Q = np.empty((_REFACTOR_EVERY, m))
+        self.k = 0
+
+    def ftran(self, a: np.ndarray) -> np.ndarray:
+        """B^-1 a for the current basis B."""
+        k = self.k
+        return self.binv @ a + self.P[:, :k] @ (self.Q[:k] @ a)
+
+    def btran(self, c: np.ndarray) -> np.ndarray:
+        """c B^-1 for the current basis B."""
+        k = self.k
+        return c @ self.binv + (c @ self.P[:, :k]) @ self.Q[:k]
 
     def pivot(self, entering: int, leave_pos: int, d: np.ndarray, theta: float):
-        br = self.binv[leave_pos] / d[leave_pos]
-        self.binv -= np.outer(d, br)
-        self.binv[leave_pos] = br
+        # with d = B^-1 a_entering and r = leave_pos, the new inverse is
+        # (I - (d - e_r) e_r^T / d_r) B^-1: one more term, -(d - e_r) B^-1[r] / d_r
+        k = self.k
+        self.Q[k] = (self.binv[leave_pos] + self.P[leave_pos, :k] @ self.Q[:k]) / d[leave_pos]
+        np.negative(d, out=self.P[:, k])
+        self.P[leave_pos, k] += 1.0
+        self.k = k + 1
         self.xb -= theta * d
         self.xb[leave_pos] = theta
         self.basis[leave_pos] = entering
         self.pivots += 1
-        if self.pivots % _REFACTOR_EVERY == 0:
+        if self.k == _REFACTOR_EVERY:
             self.refactor()
 
 
@@ -190,7 +219,7 @@ def _run_simplex(state: _SimplexState, budget: int) -> None:
     while True:
         if state.pivots >= budget:
             raise RuntimeError(f"simplex pivot budget of {budget} ran out")
-        y = cost[state.basis] @ state.binv
+        y = state.btran(cost[state.basis])
         reduced = cost - state.lp.transpose_dot(y)
         reduced[state.basis] = np.inf
         if use_bland:
@@ -202,7 +231,7 @@ def _run_simplex(state: _SimplexState, budget: int) -> None:
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -tolerance:
                 return
-        d = state.binv @ state.lp.column(entering)
+        d = state.ftran(state.lp.column(entering))
         blocking = np.flatnonzero(d > _RATIO_TOLERANCE)
         if blocking.size == 0:
             raise RuntimeError("simplex found the program unbounded")
@@ -240,8 +269,9 @@ def solve_lp(lp: LinearProgram, initial_basis) -> LpSolution:
     if state.xb.min(initial=0.0) < -_RATIO_TOLERANCE * lp.rhs.max(initial=1.0):
         raise ValueError("initial basis is not primal feasible")
     _run_simplex(state, _PIVOT_BUDGET_FACTOR * (n + m))
-    # a pivot since the last refactor leaves rank-1 rounding in binv and xb
-    if state.pivots % _REFACTOR_EVERY:
+    # each pivot since the last refactor leaves its rounding in the low-rank
+    # term and in xb
+    if state.k:
         state.refactor()
     x = np.zeros(n)
     x[state.basis] = state.xb

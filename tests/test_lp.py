@@ -288,6 +288,15 @@ class TestStartBasis:
         assert solve_lp(lp, initial_basis=[1, 2]).objective_value == pytest.approx(0.0)
 
 
+def transport_20(cost):
+    """The transport program of a 20 x 20 cost between uniform marginals,
+    and its staircase start."""
+    n = 20
+    u = ProbabilityVector.uniform(n)
+    rows, cols, _ = _staircase(u.weights, u.weights)
+    return transport_program(CostMatrix(cost), u, u), rows * n + cols
+
+
 def assert_inverts(state):
     want = np.linalg.inv(np.column_stack([state.lp.column(j) for j in state.basis]))
     np.testing.assert_allclose(state.binv, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -339,15 +348,36 @@ class TestRefactor:
             refactored_at.append(state.pivots)
 
         monkeypatch.setattr(otclust.lp._SimplexState, "refactor", checked)
-        rng = np.random.default_rng(13)
-        n = 20
-        cost = CostMatrix(rng.uniform(0.0, 1.0, size=(n, n)))
-        u = ProbabilityVector.uniform(n)
-        program = transport_program(cost, u, u)
-        rows, cols, _ = _staircase(u.weights, u.weights)
-        solution = solve_lp(program, initial_basis=rows * n + cols)
+        solution = solve_lp(*transport_20(np.random.default_rng(13).uniform(0.0, 1.0, size=(20, 20))))
         every = otclust.lp._REFACTOR_EVERY
         assert solution.pivots > every
         # at the start, every _REFACTOR_EVERY pivots, and once at the end
         # unless the last pivot has just refactored
         assert refactored_at == list(range(0, solution.pivots, every)) + [solution.pivots]
+
+    def test_low_rank_inverse_after_every_pivot(self, monkeypatch):
+        # ftran and btran apply the refactor's inverse plus one rank-1 term
+        # per pivot since; both must match the dense inverse of B after
+        # every pivot, at every count of terms a solve reads
+        pivot = otclust.lp._SimplexState.pivot
+        rng = np.random.default_rng(15)
+        ranks = []
+
+        def checked(state, *args):
+            pivot(state, *args)
+            want = np.linalg.inv(np.column_stack([state.lp.column(j) for j in state.basis]))
+            atol = 1e-12 * np.abs(want).max()
+            unit = np.eye(want.shape[0])
+            ftran = np.column_stack([state.ftran(e) for e in unit])
+            np.testing.assert_allclose(ftran, want, rtol=1e-12, atol=atol)
+            c = rng.uniform(-1.0, 1.0, size=want.shape[0])
+            np.testing.assert_allclose(state.btran(c), c @ want, rtol=1e-12, atol=atol)
+            ranks.append(state.k)
+
+        monkeypatch.setattr(otclust.lp._SimplexState, "pivot", checked)
+        # heavy-tailed costs keep Dantzig pricing busy past two refactors
+        cost = np.random.default_rng(266).uniform(0.0, 1.0, size=(20, 20)) ** 8
+        solution = solve_lp(*transport_20(cost))
+        every = otclust.lp._REFACTOR_EVERY
+        assert solution.pivots == len(ranks) > 2 * every
+        assert ranks == [(t + 1) % every for t in range(solution.pivots)]
